@@ -464,6 +464,10 @@ int RunInfo(const std::string& path, const std::string& csv_dir) {
                     static_cast<unsigned long long>(ls.pad_bytes),
                     ls.open_seconds, ls.index_parse_seconds,
                     ls.forest_parse_seconds);
+        std::printf("open split: %.3fs checksum, %.3fs model (WEM table), "
+                    "%.3fs threshold index\n",
+                    ls.checksum_seconds, ls.model_seconds,
+                    ls.threshold_index_seconds);
       }
     }
     std::printf("options: minhash=%zu rp_bits=%zu trees=%zux%zu threshold=%.2f "

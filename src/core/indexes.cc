@@ -100,6 +100,11 @@ void D3LIndexes::Finalize() {
   value_forest_.Index();
   format_forest_.Index();
   emb_forest_.Index();
+  name_banded_.Index();
+  value_banded_.Index();
+  format_banded_.Index();
+  emb_banded_.Index();
+  value_join_banded_.Index();
 }
 
 std::vector<uint32_t> D3LIndexes::Lookup(Evidence e, const AttributeSignatures& query,
@@ -298,10 +303,17 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
           s.emb_sig.words.size() != (s.emb_sig.bits + 63) / 64))) {
       return Status::IOError("corrupt file: signature sizes contradict index options");
     }
-    // Replay the banded-index half of Insert() from the saved signatures
-    // (ids were assigned densely in insertion order, so the rebuilt buckets
-    // are identical to the originals).
+    idx.profiles_.push_back(std::move(profile));
+    idx.sigs_.push_back(std::move(s));
+  }
+
+  // Replay the banded-index half of Insert() from the saved signatures
+  // (ids were assigned densely in insertion order, so the rebuilt buckets
+  // are identical to the originals), then sort them as Finalize() does.
+  const auto t_banded = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < n; ++i) {
     const auto id = static_cast<uint32_t>(i);
+    const AttributeSignatures& s = idx.sigs_[i];
     idx.name_banded_.Insert(id, s.name_sig);
     idx.format_banded_.Insert(id, s.format_sig);
     if (s.has_value) {
@@ -312,9 +324,15 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
       Signature seq = idx.rp_hasher_.SignatureAsHashSequence(s.emb_sig);
       idx.emb_banded_.Insert(id, seq);
     }
-    idx.profiles_.push_back(std::move(profile));
-    idx.sigs_.push_back(std::move(s));
   }
+  idx.name_banded_.Index();
+  idx.value_banded_.Index();
+  idx.format_banded_.Index();
+  idx.emb_banded_.Index();
+  idx.value_join_banded_.Index();
+  idx.threshold_index_seconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_banded)
+          .count();
 
   const auto t_forests = std::chrono::steady_clock::now();
   idx.name_forest_ = LshForest::Load(r, forest_format);

@@ -67,7 +67,8 @@ class D3LIndexes {
   /// four indexes (Algorithm 1 lines 15-18). Returns the attribute id.
   uint32_t Insert(AttributeProfile profile);
 
-  /// Sorts the forests; must be called after the last Insert.
+  /// Sorts the forests and the banded threshold indexes; must be called
+  /// after the last Insert and before any lookup.
   void Finalize();
 
   size_t num_attributes() const { return profiles_.size(); }
@@ -121,11 +122,16 @@ class D3LIndexes {
   /// cost the same under either load mode.
   double forest_parse_seconds() const { return forest_parse_seconds_; }
 
+  /// Wall time the last Load() spent rebuilding the banded threshold
+  /// indexes: the replay of Insert() from the saved signatures plus their
+  /// Index() sort. Zero for indexes built in process.
+  double threshold_index_seconds() const { return threshold_index_seconds_; }
+
   /// Serializes options, profiles, signatures and the four LSH forests into
   /// the writer's current section. The banded threshold indexes are not
   /// written: Load() rebuilds them deterministically from the saved
-  /// signatures (band hashing is orders of magnitude cheaper than the
-  /// profiling + MinHash work the snapshot exists to avoid).
+  /// signatures (band hashing plus one sort per band, a small share of an
+  /// open; see threshold_index_seconds()).
   void Save(io::Writer& w) const;
 
   /// Deserializes indexes written by Save(). `forest_format` names the
@@ -159,7 +165,8 @@ class D3LIndexes {
   std::vector<AttributeProfile> profiles_;
   std::vector<AttributeSignatures> sigs_;
 
-  double forest_parse_seconds_ = 0;  ///< see forest_parse_seconds()
+  double forest_parse_seconds_ = 0;     ///< see forest_parse_seconds()
+  double threshold_index_seconds_ = 0;  ///< see threshold_index_seconds()
 };
 
 }  // namespace d3l::core

@@ -346,7 +346,9 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
     return Status::IOError("corrupt file: implausible embedding-model options");
   }
 
+  const auto t_model = std::chrono::steady_clock::now();
   auto engine = std::unique_ptr<D3LEngine>(new D3LEngine(options));
+  engine->load_stats_.model_seconds = SecondsSince(t_model);
 
   D3L_RETURN_NOT_OK(r.OpenSection(kSectionLake));
   D3L_RETURN_NOT_OK(lake_metadata->LoadMetadata(r));
@@ -358,6 +360,8 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
   engine->load_stats_.index_parse_seconds = SecondsSince(t_index);
   engine->load_stats_.forest_parse_seconds =
       engine->indexes_.forest_parse_seconds();
+  engine->load_stats_.threshold_index_seconds =
+      engine->indexes_.threshold_index_seconds();
   D3L_RETURN_NOT_OK(r.EndSection());
   // The index options live both in OPTS (engine construction) and inside
   // INDX (self-contained D3LIndexes::Save). If the copies disagree, the
@@ -430,6 +434,7 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
   engine->load_stats_.mapped =
       r.mapped() && forest_format == ForestWireFormat::kFlat;
   engine->load_stats_.pad_bytes = r.pad_bytes();
+  engine->load_stats_.checksum_seconds = r.checksum_seconds();
   engine->load_stats_.open_seconds = SecondsSince(t_open);
   return engine;
 }

@@ -98,6 +98,16 @@ struct SnapshotLoadStats {
   /// materialization that a mapped v2 load collapses to pointer fixups.
   /// This is the component `bench/snapshot_load` gates mapped-vs-copied.
   double forest_parse_seconds = 0;
+  /// Wall time verifying section checksums (all sections; not part of
+  /// index_parse_seconds).
+  double checksum_seconds = 0;
+  /// Wall time constructing the engine from the saved options, dominated
+  /// by acquiring the WEM bucket table (SharedSubwordModel: a build unless
+  /// another live engine already holds one with equal options).
+  double model_seconds = 0;
+  /// Wall time rebuilding the banded threshold indexes (replay + Index();
+  /// part of index_parse_seconds).
+  double threshold_index_seconds = 0;
 };
 
 /// \brief A profiled query target: per-column profiles and signatures plus

@@ -1,5 +1,7 @@
 #include "embedding/subword_model.h"
 
+#include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "common/hash.h"
@@ -18,15 +20,36 @@ Vec WordEmbeddingModel::EmbedAll(const std::vector<std::string>& words) const {
 }
 
 SubwordHashModel::SubwordHashModel(SubwordModelOptions options)
-    : options_(options) {
-  buckets_.resize(options_.num_buckets * options_.dim);
-  for (size_t b = 0; b < options_.num_buckets; ++b) {
-    uint64_t bucket_key = HashCombine(options_.seed, b);
-    for (size_t j = 0; j < options_.dim; ++j) {
-      buckets_[b * options_.dim + j] =
-          static_cast<float>(GaussianFromKey(HashCombine(bucket_key, j)));
+    : options_(options),
+      buckets_(std::make_unique_for_overwrite<float[]>(options_.num_buckets *
+                                                       options_.dim)) {
+  // Every component is a pure function of (seed, bucket, component), so
+  // disjoint bucket ranges fill independently and the table is bit-identical
+  // whatever the thread count. Threads also fault the fresh pages in
+  // parallel (the table is deliberately not zero-filled first).
+  const size_t dim = options_.dim;
+  const auto fill = [this, dim](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      const uint64_t bucket_key = HashCombine(options_.seed, b);
+      for (size_t j = 0; j < dim; ++j) {
+        buckets_[b * dim + j] =
+            static_cast<float>(GaussianFromKey(HashCombine(bucket_key, j)));
+      }
     }
+  };
+  // Small tables are not worth a thread start.
+  constexpr size_t kMinComponentsPerThread = size_t{1} << 16;
+  const size_t n = options_.num_buckets;
+  const size_t n_threads = std::min<size_t>(
+      std::max(1u, std::thread::hardware_concurrency()),
+      std::max<size_t>(1, n * dim / kMinComponentsPerThread));
+  const size_t per_thread = (n + n_threads - 1) / n_threads;
+  std::vector<std::jthread> workers;  // joined on scope exit, throw or not
+  for (size_t t = 1; t < n_threads; ++t) {
+    workers.emplace_back(fill, std::min(n, t * per_thread),
+                         std::min(n, (t + 1) * per_thread));
   }
+  fill(0, std::min(n, per_thread));
 }
 
 void SubwordHashModel::AccumulateBucket(uint64_t bucket, Vec* acc) const {

@@ -40,9 +40,9 @@ struct SubwordModelOptions {
   size_t min_ngram = 3;       ///< shortest character n-gram
   size_t max_ngram = 5;       ///< longest character n-gram
   /// n-gram hash buckets. The bucket-vector table (num_buckets * dim
-  /// floats) is materialized at construction; 2^16 buckets * 64 dims is
-  /// 16 MB, ample for benchmark-scale vocabularies (fastText itself uses
-  /// 2M buckets for web-scale corpora).
+  /// floats) is materialized at construction, in parallel over bucket
+  /// ranges; 2^16 buckets * 64 dims is 16 MB, ample for benchmark-scale
+  /// vocabularies (fastText itself uses 2M buckets for web-scale corpora).
   size_t num_buckets = 1 << 16;
   uint64_t seed = 0x5eed0001;
 
@@ -69,7 +69,7 @@ class SubwordHashModel : public WordEmbeddingModel {
   void AccumulateBucket(uint64_t bucket, Vec* acc) const;
 
   SubwordModelOptions options_;
-  std::vector<float> buckets_;  // [bucket * dim + component]
+  std::unique_ptr<float[]> buckets_;  // [bucket * dim + component]
 };
 
 /// \brief Process-wide shared instance of the model for `options`.

@@ -263,6 +263,10 @@ class Reader {
   /// Total zero-pad bytes skipped by AlignTo so far (diagnostics).
   uint64_t pad_bytes() const { return pad_bytes_; }
 
+  /// Wall time OpenSection has spent verifying section checksums so far
+  /// (diagnostics: the checksum share of a snapshot open).
+  double checksum_seconds() const { return checksum_seconds_; }
+
   /// First error latched by any failed read (OutOfRange on exhausted
   /// section payloads), or OK.
   const Status& status() const { return status_; }
@@ -332,6 +336,7 @@ class Reader {
   uint64_t payload_offset_ = 0;  ///< file offset of the current payload
   uint64_t stream_offset_ = 0;   ///< file offset just past consumed frames
   uint64_t pad_bytes_ = 0;
+  double checksum_seconds_ = 0;
   Status status_;
 };
 

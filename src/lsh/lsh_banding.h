@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "lsh/minhash.h"
@@ -32,6 +31,12 @@ std::pair<size_t, size_t> OptimalBandsRows(size_t signature_size, double thresho
 double BandingCollisionProbability(double similarity, size_t bands, size_t rows);
 
 /// \brief Threshold-style LSH index over MinHash signatures.
+///
+/// Flat layout: each band is one contiguous array of (band hash, id)
+/// entries, split into parallel hash and id arrays. Insert appends; Index()
+/// sorts every band by hash (ties keep insertion order), after which a
+/// band's bucket is the contiguous run of equal hashes a binary search
+/// finds. No per-bucket allocation, so MemoryUsage() is exact.
 class BandedLsh {
  public:
   using ItemId = uint32_t;
@@ -41,19 +46,32 @@ class BandedLsh {
   size_t bands() const { return bands_; }
   size_t rows() const { return rows_; }
 
+  /// Registers an item; call Index() before querying.
   void Insert(ItemId id, const Signature& signature);
 
   /// Span form for flat signature stores: `signature` points at `n` values.
   void Insert(ItemId id, const uint64_t* signature, size_t n);
 
+  /// Sorts the bands. Insert/Index may be alternated (Index re-sorts, and
+  /// buckets keep insertion order across rounds).
+  void Index();
+
   /// Items sharing at least one band with the query (candidates whose
-  /// Jaccard similarity is likely >= threshold). Deduplicated.
+  /// Jaccard similarity is likely >= threshold), deduplicated at first
+  /// sight: bands in order, ids in insertion order within a bucket. Aborts
+  /// (in all build types) if an Insert has not been followed by Index().
   std::vector<ItemId> Query(const Signature& signature) const;
 
   size_t size() const { return num_items_; }
+  /// Exact heap + object footprint in bytes.
   size_t MemoryUsage() const;
 
  private:
+  struct Band {
+    std::vector<uint64_t> hashes;  ///< band hash per entry
+    std::vector<ItemId> ids;       ///< parallel to hashes
+  };
+
   uint64_t BandHash(size_t band, const uint64_t* sig) const;
   // Aborts (in all build types) if the signature is too short for BandHash.
   void CheckSignatureSize(size_t n) const;
@@ -61,9 +79,10 @@ class BandedLsh {
   BandedLshOptions options_;
   size_t bands_;
   size_t rows_;
-  // band index -> (band hash -> item ids)
-  std::vector<std::unordered_map<uint64_t, std::vector<ItemId>>> buckets_;
+  std::vector<Band> tables_;  ///< one per band
   size_t num_items_ = 0;
+  ItemId max_id_ = 0;    ///< sizes Query's dedup bitmap
+  bool indexed_ = true;  ///< every band sorted (trivially so when empty)
 };
 
 }  // namespace d3l

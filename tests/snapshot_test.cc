@@ -91,6 +91,62 @@ TEST_F(SnapshotTest, WriterReaderPrimitivesRoundTrip) {
   EXPECT_TRUE(r.status().ok());
 }
 
+// Byte-at-a-time reflected CRC-32 (polynomial 0xEDB88320), kept here as the
+// reference the sliced implementation must agree with.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::vector<unsigned char> bytes(n);
+  uint64_t x = seed;
+  for (unsigned char& b : bytes) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(io::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(io::Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, AccumulatorMatchesOneShotAtEverySplitAndAlignment) {
+  // Unaligned starts and every split point of every length up to 64 walk
+  // both the 16-byte sliced loop and the byte-wise tail.
+  const std::vector<unsigned char> buf = PseudoRandomBytes(64 + 16, 7);
+  for (size_t start = 0; start < 16; ++start) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + start;
+      const uint32_t want = ReferenceCrc32(p, len);
+      ASSERT_EQ(io::Crc32(p, len), want) << "start=" << start << " len=" << len;
+      for (size_t split = 0; split <= len; ++split) {
+        io::Crc32Accumulator acc;
+        acc.Update(p, split);
+        acc.Update(p + split, len - split);
+        ASSERT_EQ(acc.Finish(), want)
+            << "start=" << start << " len=" << len << " split=" << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, LargeBufferMatchesBytewiseReference) {
+  const std::vector<unsigned char> buf = PseudoRandomBytes((size_t{1} << 20) + 13, 11);
+  EXPECT_EQ(io::Crc32(buf.data(), buf.size()), ReferenceCrc32(buf.data(), buf.size()));
+  EXPECT_EQ(io::Crc32(buf.data() + 3, buf.size() - 3),
+            ReferenceCrc32(buf.data() + 3, buf.size() - 3));
+}
+
 TEST_F(SnapshotTest, ReaderRejectsWrongMagicAndVersion) {
   const std::string path = Path("magic.bin");
   io::Writer w;
@@ -434,6 +490,16 @@ TEST_F(SnapshotTest, MappedAndCopiedLoadsRankIdentically) {
   // On this platform the default mode should really map (no silent
   // regression to the copy path).
   EXPECT_TRUE((*mapped)->load_stats().mapped);
+  // The open split is filled in, and its parts nest as documented.
+  for (const auto* loaded : {&*mapped, &*copied}) {
+    const core::SnapshotLoadStats& ls = (*loaded)->load_stats();
+    EXPECT_GT(ls.checksum_seconds, 0);
+    EXPECT_GT(ls.model_seconds, 0);
+    EXPECT_GT(ls.threshold_index_seconds, 0);
+    EXPECT_LE(ls.threshold_index_seconds, ls.index_parse_seconds);
+    EXPECT_LE(ls.checksum_seconds + ls.model_seconds + ls.index_parse_seconds,
+              ls.open_seconds);
+  }
 
   ExpectIdenticalSearch(**mapped, **copied);
 }
