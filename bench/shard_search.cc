@@ -1,14 +1,13 @@
-// Sharded scatter-gather search: wall-clock scaling with the shard count
-// on the Synthetic repository, plus an exactness check against the single
-// unsharded engine (the sharded top-k must be byte-identical).
+// Sharded scatter-gather search: single-query latency against the shard
+// count on the Synthetic repository, plus an exactness check against the
+// single unsharded engine (the sharded top-k must be byte-identical).
 //
 //   $ ./build/shard_search [--scale=F] [--threads=T] [--k=K]
 //
-// Shard sets are built into a temporary directory and removed afterwards.
-// Expected shape on a multi-core box with T >= 4: ms/query drops as the
-// shard count grows (profiling the target once, then querying N smaller
-// indexes in parallel), flattening once shards outnumber worker threads.
-// On a single core the pipeline degenerates gracefully to serial scans.
+// Every target is one ShardedEngine::Search, whose per-shard phases run in
+// parallel on a T-thread pool; ms/query is the mean latency of those
+// calls, issued one at a time. Shard sets are built into a temporary
+// directory and removed afterwards.
 #include <unistd.h>
 
 #include <cstring>
@@ -68,12 +67,14 @@ int main(int argc, char** argv) {
   std::vector<const Table*> targets;
   for (uint32_t t : target_ids) targets.push_back(&data.lake.table(t));
 
-  // Reference rankings (and a warm single-engine baseline timing).
+  // Reference rankings, then a timed pass warmed by them like the sharded
+  // rows below.
   std::vector<core::SearchResult> reference;
-  eval::Timer t_single;
   for (const Table* t : targets) {
     reference.push_back(std::move(*unsharded.Search(*t, k)));
   }
+  eval::Timer t_single;
+  for (const Table* t : targets) unsharded.Search(*t, k).status().CheckOK();
   double single_ms = t_single.Seconds() * 1000 / static_cast<double>(targets.size());
   printf("unsharded engine: %.2f ms/query over %zu targets\n\n", single_ms,
          targets.size());
@@ -102,14 +103,12 @@ int main(int argc, char** argv) {
     engine.status().CheckOK();
     double open_s = t_open.Seconds();
 
-    serving::QueryBatch batch;
-    batch.targets = targets;
-    batch.k = k;
-    // Warm-up — but an error here would skew the timed pass below, so
-    // check it instead of discarding (this used to be a silent `(void)`).
-    for (auto& warm : (*engine)->Execute(batch)) warm.status().CheckOK();
+    // Warm-up pass; an error here would skew the timed pass, so check it.
+    for (const Table* t : targets) (*engine)->Search(*t, k).status().CheckOK();
+    std::vector<Result<core::SearchResult>> results;
+    results.reserve(targets.size());
     eval::Timer t_query;
-    auto results = (*engine)->Execute(batch);
+    for (const Table* t : targets) results.push_back((*engine)->Search(*t, k));
     double ms = t_query.Seconds() * 1000 / static_cast<double>(targets.size());
     if (n_shards == 1) one_shard_ms = ms;
 
@@ -128,8 +127,10 @@ int main(int argc, char** argv) {
 
   printf(
       "\nShape to check: every row's ranking is exact (byte-identical to the\n"
-      "unsharded engine), and with >= 4 worker threads ms/query drops as the\n"
-      "shard count grows toward the thread count.\n");
+      "unsharded engine). ms/query is single-query latency with the shards of\n"
+      "one query in parallel; it can fall below the unsharded engine's only\n"
+      "when per-shard retrieval and scoring outweigh the per-query fan-out\n"
+      "and merge, so at small scales the sharded rows sit at or above it.\n");
   if (!all_exact) {
     fprintf(stderr, "FAIL: a sharded ranking diverged from the unsharded engine\n");
     return 1;  // fails the CI bench-smoke step, not just the artifact text

@@ -64,6 +64,15 @@ EvidenceWeights EvidenceWeights::Uniform() {
   return ew;
 }
 
+EvidenceWeights EvidenceWeights::Masked(
+    const std::array<bool, kNumEvidence>& enabled) const {
+  EvidenceWeights masked = *this;
+  for (size_t t = 0; t < kNumEvidence; ++t) {
+    if (!enabled[t]) masked.w[t] = 0;
+  }
+  return masked;
+}
+
 DistanceVector AggregateDataset(const std::vector<PairDistances>& rows,
                                 const DistanceDistributions& dists) {
   DistanceVector out = MaxDistances();

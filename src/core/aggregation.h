@@ -8,6 +8,7 @@
 // the weighted l2-norm with learned evidence weights.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/evidence.h"
@@ -60,6 +61,10 @@ struct EvidenceWeights {
 
   /// Uniform weights (used by single-evidence ablations).
   static EvidenceWeights Uniform();
+
+  /// These weights with every evidence type the mask disables zeroed: the
+  /// Eq. 3 weights of a masked query (the Fig. 3 ablation).
+  EvidenceWeights Masked(const std::array<bool, kNumEvidence>& enabled) const;
 
   bool operator==(const EvidenceWeights&) const = default;
 };

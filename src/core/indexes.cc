@@ -37,6 +37,28 @@ LshForestOptions EmbForestOptionsFrom(const IndexOptions& o) {
 }
 }  // namespace
 
+bool SignatureShapeMatches(const AttributeSignatures& s, const IndexOptions& o) {
+  return s.name_sig.size() == o.minhash_size && s.format_sig.size() == o.minhash_size &&
+         (!s.has_value || s.value_sig.size() == o.minhash_size) &&
+         (!s.has_embedding ||
+          (s.emb_sig.bits == o.rp_bits &&
+           s.emb_sig.words.size() == (s.emb_sig.bits + 63) / 64));
+}
+
+size_t ForestDepth(const IndexOptions& options, Evidence e) {
+  switch (e) {
+    case Evidence::kName:
+    case Evidence::kValue:
+    case Evidence::kFormat:
+      return options.forest.hashes_per_tree;
+    case Evidence::kEmbedding:
+      return EmbForestOptionsFrom(options).hashes_per_tree;
+    case Evidence::kDistribution:
+      return 0;
+  }
+  return 0;
+}
+
 D3LIndexes::D3LIndexes(IndexOptions options)
     : options_(options),
       name_hasher_(options.minhash_size, options.seed ^ 0x4e),
@@ -296,11 +318,7 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
     AttributeProfile profile = AttributeProfile::Load(r);
     AttributeSignatures s = AttributeSignatures::Load(r);
     D3L_RETURN_NOT_OK(r.status());
-    if (s.name_sig.size() != o.minhash_size || s.format_sig.size() != o.minhash_size ||
-        (s.has_value && s.value_sig.size() != o.minhash_size) ||
-        (s.has_embedding &&
-         (s.emb_sig.bits != o.rp_bits ||
-          s.emb_sig.words.size() != (s.emb_sig.bits + 63) / 64))) {
+    if (!SignatureShapeMatches(s, o)) {
       return Status::IOError("corrupt file: signature sizes contradict index options");
     }
     idx.profiles_.push_back(std::move(profile));

@@ -56,6 +56,19 @@ struct AttributeSignatures {
   static AttributeSignatures Load(io::Reader& r);
 };
 
+/// \brief True when `s` has the shape signatures signed under `options`
+/// have: minhash_size values per MinHash signature (the value signature
+/// only when present) and rp_bits bits in the embedding signature. Index
+/// lookups and distance estimates read signatures at these sizes without
+/// further checks, so every signature from outside the process (a snapshot,
+/// an RPC request) must pass this first.
+bool SignatureShapeMatches(const AttributeSignatures& s, const IndexOptions& options);
+
+/// \brief Key length (maximum prefix depth) of the LSH Forest behind one
+/// evidence type under `options`; 0 for distribution evidence, which has no
+/// forest. Stop depths above it index past a forest key.
+size_t ForestDepth(const IndexOptions& options, Evidence e);
+
 /// \brief Attribute registry + IN/IV/IF/IE. Insertion is Algorithm 1.
 class D3LIndexes {
  public:

@@ -196,7 +196,7 @@ uint64_t OptionsFingerprint(const D3LOptions& options, uint64_t seed) {
 }
 
 std::string CanonicalTargetBytes(const QueryTarget& target) {
-  // Same invariant SearchTarget/ShardedEngine::Search reject with a Status;
+  // Part of what CheckQueryTarget rejects with a Status;
   // a serializer returning bytes fails loudly instead (all build types —
   // a malformed target must never produce a plausible cache key).
   if (target.sigs.size() != target.profiles.size()) {
@@ -470,6 +470,32 @@ std::array<bool, kNumEvidence> ConsultedIndexes(
 }
 }  // namespace
 
+Status CheckQueryTarget(const QueryTarget& target, const IndexOptions& options,
+                        const CandidateStopDepths* stops) {
+  const size_t n_cols = target.sigs.size();
+  if (n_cols == 0 || target.profiles.size() != n_cols) {
+    return Status::InvalidArgument("target is not a profiled table");
+  }
+  for (const AttributeSignatures& sigs : target.sigs) {
+    if (!SignatureShapeMatches(sigs, options)) {
+      return Status::InvalidArgument(
+          "target signature sizes contradict the index options");
+    }
+  }
+  if (stops == nullptr) return Status::OK();
+  if (stops->depths.size() != n_cols) {
+    return Status::InvalidArgument("stop depths do not match the target's columns");
+  }
+  for (const std::array<size_t, kNumEvidence>& per_evidence : stops->depths) {
+    for (size_t e = 0; e < kNumEvidence; ++e) {
+      if (per_evidence[e] > ForestDepth(options, static_cast<Evidence>(e))) {
+        return Status::InvalidArgument("stop depth exceeds the forest depth");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 void CandidateDepthCounts::Add(const CandidateDepthCounts& other) {
   assert(counts.size() == other.counts.size());
   for (size_t c = 0; c < counts.size(); ++c) {
@@ -560,6 +586,23 @@ std::vector<std::vector<uint32_t>> D3LEngine::UnionCandidates(
                      candidates.end());
   }
   return per_column;
+}
+
+CandidateLists D3LEngine::MergeCandidateLists(const std::vector<CandidateLists>& parts,
+                                              size_t m) {
+  CandidateLists merged;
+  merged.ids.resize(parts.empty() ? 0 : parts.front().ids.size());
+  for (size_t c = 0; c < merged.ids.size(); ++c) {
+    for (size_t e = 0; e < kNumEvidence; ++e) {
+      std::vector<uint32_t>& ids = merged.ids[c][e];
+      for (const CandidateLists& part : parts) {
+        ids.insert(ids.end(), part.ids[c][e].begin(), part.ids[c][e].end());
+      }
+      std::sort(ids.begin(), ids.end());
+      if (ids.size() > m) ids.resize(m);
+    }
+  }
+  return merged;
 }
 
 std::vector<PairDistances> D3LEngine::ScoreCandidates(
@@ -678,9 +721,7 @@ Result<SearchResult> D3LEngine::SearchTarget(
     QueryTarget target, size_t k,
     const std::array<bool, kNumEvidence>& enabled_mask) const {
   if (lake_ == nullptr) return Status::InvalidArgument("IndexLake not called");
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
+  D3L_RETURN_NOT_OK(CheckQueryTarget(target, options_.index));
   const size_t per_index_m = std::max(options_.candidates_per_attribute, k);
 
   CandidateDepthCounts counts = CollectDepthCounts(target, enabled_mask, per_index_m);
@@ -689,15 +730,10 @@ Result<SearchResult> D3LEngine::SearchTarget(
   std::vector<PairDistances> rows =
       ScoreCandidates(target, UnionCandidates(lists), enabled_mask);
 
-  // Evidence weights restricted to the enabled mask.
-  EvidenceWeights weights = options_.weights;
-  for (size_t t = 0; t < kNumEvidence; ++t) {
-    if (!enabled_mask[t]) weights.w[t] = 0;
-  }
-
   SearchResult result = RankRows(
       std::move(rows), target.sigs.size(), lake_->size(),
-      [this](uint32_t id) { return indexes_.profile(id).ref.table; }, weights, k);
+      [this](uint32_t id) { return indexes_.profile(id).ref.table; },
+      options_.weights.Masked(enabled_mask), k);
   result.target_profiles = std::move(target.profiles);
   result.target_sigs = std::move(target.sigs);
   return result;

@@ -209,6 +209,16 @@ struct CandidateLists {
   std::vector<std::array<std::vector<uint32_t>, kNumEvidence>> ids;
 };
 
+/// \brief The check every search entry applies to a QueryTarget before any
+/// index work: InvalidArgument unless the target has one signature set per
+/// profile, at least one column, and signatures shaped as `options` signs
+/// them (SignatureShapeMatches). With `stops`, also unless there is one stop
+/// depth per column and none exceeds its forest's depth (ForestDepth).
+/// Targets and stop depths decoded from RPC requests reach the engine only
+/// through this check.
+Status CheckQueryTarget(const QueryTarget& target, const IndexOptions& options,
+                        const CandidateStopDepths* stops = nullptr);
+
 /// \brief Dataset discovery engine (indexing + querying).
 class D3LEngine {
  public:
@@ -247,14 +257,11 @@ class D3LEngine {
   //
   // Search(target, k) is exactly ProfileTarget -> CollectDepthCounts ->
   // ResolveStopDepths -> CollectCandidates -> UnionCandidates ->
-  // ScoreCandidates -> RankRows. A sharded deployment
-  // (serving::ShardedEngine) runs the same pipeline with the per-shard
-  // pieces merged at the coordinator: depth counts are summed before
-  // resolving stop depths, per-shard candidate lists (whose local id order
-  // is monotone in the global order) are merged and re-capped at m before
-  // scoring, and scored rows are concatenated (with attribute ids remapped
-  // to the global registry) before ranking — yielding a top-k that is
-  // byte-identical to a single engine over the whole lake.
+  // ScoreCandidates -> RankRows. Sharded and remote deployments run the same
+  // pipeline with the per-shard pieces merged in between (summed depth
+  // counts, MergeCandidateLists, concatenated rows), which yields a top-k
+  // byte-identical to a single engine over the whole lake; see
+  // src/serving/scatter_gather.h.
 
   /// Profiles a target table (columns must be non-empty). Shard-independent:
   /// depends only on the engine options.
@@ -288,6 +295,14 @@ class D3LEngine {
   /// shape ScoreCandidates consumes.
   static std::vector<std::vector<uint32_t>> UnionCandidates(
       const CandidateLists& lists);
+
+  /// Merges the CandidateLists of engines over disjoint attribute sets (ids
+  /// already in one shared numbering, every part with the same number of
+  /// columns): per (column, evidence), the m smallest ids of all parts —
+  /// exactly the lists one engine over the union would return
+  /// (src/serving/scatter_gather.h gives the argument).
+  static CandidateLists MergeCandidateLists(const std::vector<CandidateLists>& parts,
+                                            size_t m);
 
   /// Scatter phase C: scores the given candidates — one PairDistances row
   /// per (target column, candidate attribute), in (column, id) order.

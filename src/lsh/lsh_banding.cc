@@ -46,8 +46,8 @@ BandedLsh::BandedLsh(BandedLshOptions options) : options_(options) {
 }
 
 void BandedLsh::CheckSignatureSize(size_t n) const {
-  // BandHash reads sig[bands * rows - 1]; a short signature (an ensemble
-  // whose options disagree with its hasher) would read out of bounds. Fail
+  // BandHash reads sig[bands * rows - 1]; a short signature (options that
+  // disagree with the hasher) would read out of bounds. Fail
   // loudly in release builds too, like LshForest::CheckSignatureSize —
   // Insert/Query are per-item, so the check is cheap.
   const size_t need = bands_ * rows_;

@@ -1,9 +1,6 @@
 #include "serving/remote_backend.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "obs/trace.h"
 
 namespace d3l::serving {
 
@@ -48,6 +45,53 @@ Result<rpc::ServerInfo> FetchInfo(rpc::RpcClient& client) {
   D3L_RETURN_NOT_OK(r->EndSection());
   return info;
 }
+
+/// A shard server as a coordinator part: each phase call is one round trip.
+class RemoteShard final : public ShardClient {
+ public:
+  explicit RemoteShard(rpc::RpcClient& client) : client_(client) {}
+
+  Result<core::CandidateDepthCounts> CollectDepthCounts(
+      const core::QueryTarget& target,
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override {
+    const std::string request =
+        rpc::BuildFrame(rpc::kMethodDepthCounts, [&](io::Writer& w) {
+          core::SaveQueryTarget(w, target);
+          rpc::SaveMask(w, enabled_mask);
+          w.WriteU64(m);
+        });
+    D3L_ASSIGN_OR_RETURN(std::unique_ptr<io::Reader> r,
+                         client_.CallChecked(rpc::kMethodDepthCounts, request));
+    core::CandidateDepthCounts counts = rpc::LoadDepthCounts(*r);
+    D3L_RETURN_NOT_OK(r->status());
+    D3L_RETURN_NOT_OK(r->EndSection());
+    return counts;
+  }
+
+  Result<ShardScore> ScoreAtStops(
+      const core::QueryTarget& target, const core::CandidateStopDepths& stops,
+      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const override {
+    const std::string request =
+        rpc::BuildFrame(rpc::kMethodScoreAtStops, [&](io::Writer& w) {
+          core::SaveQueryTarget(w, target);
+          rpc::SaveStopDepths(w, stops);
+          w.WriteU64(m);
+          rpc::SaveMask(w, enabled_mask);
+        });
+    D3L_ASSIGN_OR_RETURN(std::unique_ptr<io::Reader> r,
+                         client_.CallChecked(rpc::kMethodScoreAtStops, request));
+    ShardScore score;
+    score.lists = rpc::LoadCandidateLists(*r);
+    score.rows = rpc::LoadRows(*r);
+    D3L_RETURN_NOT_OK(r->status());
+    D3L_RETURN_NOT_OK(r->EndSection());
+    return score;
+  }
+
+ private:
+  rpc::RpcClient& client_;
+};
 
 }  // namespace
 
@@ -149,6 +193,7 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
     D3L_RETURN_NOT_OK(ParseEndpoint(spec, &host, &port));
     backend->clients_.push_back(std::make_unique<rpc::RpcClient>(
         std::move(host), port, options.client));
+    backend->parts_.push_back(std::make_unique<RemoteShard>(*backend->clients_.back()));
   }
 
   std::vector<Result<rpc::ServerInfo>> fetched;
@@ -197,15 +242,10 @@ Result<core::QueryTarget> RemoteBackend::Profile(const Table& target) const {
 Result<core::SearchResult> RemoteBackend::Search(
     core::QueryTarget target, size_t k,
     const std::array<bool, core::kNumEvidence>& enabled_mask) const {
-  if (target.sigs.empty() || target.profiles.size() != target.sigs.size()) {
-    return Status::InvalidArgument("target is not a profiled QueryTarget");
-  }
   const std::shared_ptr<const Stitched> st = state();
-  const size_t n_servers = clients_.size();
-  const size_t n_cols = target.sigs.size();
 
   // One full server needs no decomposition: its SRCH answer IS the
-  // whole-lake answer, bytes included.
+  // whole-lake answer, bytes included (and the server checks the target).
   if (st->single_full_server) {
     const std::string request =
         rpc::BuildFrame(rpc::kMethodSearch, [&](io::Writer& w) {
@@ -222,114 +262,10 @@ Result<core::SearchResult> RemoteBackend::Search(
     return result;
   }
 
-  const size_t m = std::max(options_.candidates_per_attribute, k);
-
-  // Phase 1 — scatter DCNT: every server sums candidate depth counts over
-  // its shards; the coordinator adds the disjoint sums and resolves the
-  // stop depths ONCE (the global synchronous-descent stop rule).
-  const std::string count_request =
-      rpc::BuildFrame(rpc::kMethodDepthCounts, [&](io::Writer& w) {
-        core::SaveQueryTarget(w, target);
-        rpc::SaveMask(w, enabled_mask);
-        w.WriteU64(m);
-      });
-  std::vector<core::CandidateDepthCounts> counts(n_servers);
-  std::vector<Status> errors(n_servers, Status::OK());
-  // ParallelFor workers carry no trace of their own; re-installing the
-  // caller's handle in each lambda puts every per-server RPC span (and the
-  // server subtree it stitches in) under this query's search span.
-  const obs::TraceHandle trace = obs::CurrentTrace();
-  pool_.ParallelFor(n_servers, [&](size_t i) {
-    obs::TraceScope scope(trace);
-    Result<std::unique_ptr<io::Reader>> r =
-        clients_[i]->CallChecked(rpc::kMethodDepthCounts, count_request);
-    if (!r.ok()) {
-      errors[i] = r.status();
-      return;
-    }
-    counts[i] = rpc::LoadDepthCounts(**r);
-    errors[i] = (*r)->status();
-    if (errors[i].ok()) errors[i] = (*r)->EndSection();
-  });
-  for (const Status& e : errors) D3L_RETURN_NOT_OK(e);
-  core::CandidateDepthCounts total = std::move(counts[0]);
-  for (size_t i = 1; i < n_servers; ++i) total.Add(counts[i]);
-  const core::CandidateStopDepths stops =
-      core::D3LEngine::ResolveStopDepths(total, m);
-
-  // Phase 2 — scatter SCOR: every server retrieves at the global stop
-  // depths and scores its local candidate unions.
-  const std::string score_request =
-      rpc::BuildFrame(rpc::kMethodScoreAtStops, [&](io::Writer& w) {
-        core::SaveQueryTarget(w, target);
-        rpc::SaveStopDepths(w, stops);
-        w.WriteU64(m);
-        rpc::SaveMask(w, enabled_mask);
-      });
-  std::vector<core::CandidateLists> lists(n_servers);
-  std::vector<std::vector<core::PairDistances>> rows(n_servers);
-  pool_.ParallelFor(n_servers, [&](size_t i) {
-    obs::TraceScope scope(trace);
-    Result<std::unique_ptr<io::Reader>> r =
-        clients_[i]->CallChecked(rpc::kMethodScoreAtStops, score_request);
-    if (!r.ok()) {
-      errors[i] = r.status();
-      return;
-    }
-    lists[i] = rpc::LoadCandidateLists(**r);
-    rows[i] = rpc::LoadRows(**r);
-    errors[i] = (*r)->status();
-    if (errors[i].ok()) errors[i] = (*r)->EndSection();
-  });
-  for (const Status& e : errors) D3L_RETURN_NOT_OK(e);
-
-  // Coordinator — merge the per-server m-capped lists and re-cap at m (the
-  // whole-lake first-m: an id in the global first-m owned by server S is in
-  // S's first-m), then keep only the rows whose candidate survived. Each
-  // server scored its LOCAL union, a superset of its share of the global
-  // one, so every needed row exists and the extras are dropped here.
-  std::vector<std::vector<uint32_t>> unions(n_cols);
-  for (size_t c = 0; c < n_cols; ++c) {
-    std::vector<uint32_t> selected;
-    for (size_t e = 0; e < core::kNumEvidence; ++e) {
-      std::vector<uint32_t> merged;
-      for (size_t i = 0; i < n_servers; ++i) {
-        if (c < lists[i].ids.size()) {
-          const std::vector<uint32_t>& ids = lists[i].ids[c][e];
-          merged.insert(merged.end(), ids.begin(), ids.end());
-        }
-      }
-      std::sort(merged.begin(), merged.end());
-      if (merged.size() > m) merged.resize(m);
-      selected.insert(selected.end(), merged.begin(), merged.end());
-    }
-    std::sort(selected.begin(), selected.end());
-    selected.erase(std::unique(selected.begin(), selected.end()),
-                   selected.end());
-    unions[c] = std::move(selected);
-  }
-  std::vector<core::PairDistances> all_rows;
-  for (size_t i = 0; i < n_servers; ++i) {
-    for (core::PairDistances& row : rows[i]) {
-      if (row.target_column < n_cols &&
-          std::binary_search(unions[row.target_column].begin(),
-                             unions[row.target_column].end(),
-                             row.attribute_id)) {
-        all_rows.push_back(std::move(row));
-      }
-    }
-  }
-
-  core::EvidenceWeights weights = options_.weights;
-  for (size_t t = 0; t < core::kNumEvidence; ++t) {
-    if (!enabled_mask[t]) weights.w[t] = 0;
-  }
-  core::SearchResult result = core::D3LEngine::RankRows(
-      std::move(all_rows), n_cols, st->table_names.size(),
-      [st](uint32_t id) { return st->attr_table[id]; }, weights, k);
-  result.target_profiles = std::move(target.profiles);
-  result.target_sigs = std::move(target.sigs);
-  return result;
+  std::vector<const ShardClient*> parts;
+  for (const auto& part : parts_) parts.push_back(part.get());
+  return ScatterGatherSearch(parts, std::move(target), k, enabled_mask, options_,
+                             st->attr_table, st->table_names.size(), &pool_);
 }
 
 BackendInfo RemoteBackend::Info() const {

@@ -9,23 +9,12 @@
 // stitches the global numbering the servers report back into local
 // table-name/attribute maps.
 //
-// Search runs the same exact decomposition ShardedEngine runs in-process,
-// with one extra round trip because the stop rule is GLOBAL:
-//
-//   1. DCNT to every server -> Add() the disjoint counts -> resolve the
-//      stop depths once (core::D3LEngine::ResolveStopDepths);
-//   2. SCOR (target, stops, m, mask) to every server -> merge the returned
-//      m-capped global-id candidate lists, re-cap at m, build per-column
-//      unions, keep only rows whose candidate survived the merge -> rank.
-//
-// An id in the global first-m owned by server S is necessarily in S's
-// first-m (it has fewer than m smaller ids globally, hence fewer within
-// S), so the merged lists equal the whole-lake lists; rows are pure
-// functions of (query, candidate); RankRows canonically re-sorts. The
-// result is therefore byte-identical to a single engine over the unsharded
-// lake — distances, tie order, candidate alignments and all (asserted by
-// tests/remote_test.cc). A deployment of ONE server that serves every
-// shard skips the decomposition and sends SRCH.
+// Search runs the coordinator of scatter_gather.h over the servers, one
+// ShardClient each, which sends DCNT for the depth counts and SCOR for
+// retrieval and scoring at the global stop depths; scatter_gather.h gives
+// why the result is byte-identical to a single engine over the unsharded
+// lake (asserted by tests/remote_test.cc). A deployment of ONE server that
+// serves every shard skips the two round trips and sends SRCH.
 //
 // Degradation: a killed or unreachable server surfaces as
 // Status::Unavailable after the client's bounded retries — Search fails
@@ -42,6 +31,7 @@
 #include "common/thread_annotations.h"
 #include "rpc/client.h"
 #include "rpc/wire.h"
+#include "serving/scatter_gather.h"
 #include "serving/search_backend.h"
 #include "serving/thread_pool.h"
 
@@ -70,7 +60,8 @@ class RemoteBackend : public SearchBackend {
   /// uniform options, so any server gives the identical QueryTarget).
   Result<core::QueryTarget> Profile(const Table& target) const override;
 
-  /// Exact whole-lake top-k via the two-phase protocol (header comment).
+  /// Exact whole-lake top-k: the coordinator over the servers, in parallel
+  /// on the fan-out pool (or one SRCH; see the header comment).
   Result<core::SearchResult> Search(
       core::QueryTarget target, size_t k,
       const std::array<bool, core::kNumEvidence>& enabled_mask) const override;
@@ -117,6 +108,8 @@ class RemoteBackend : public SearchBackend {
   }
 
   std::vector<std::unique_ptr<rpc::RpcClient>> clients_;
+  /// clients_[i] as a coordinator part (DCNT/SCOR over that connection).
+  std::vector<std::unique_ptr<const ShardClient>> parts_;
   core::D3LOptions options_;
 
   mutable Mutex state_mu_;

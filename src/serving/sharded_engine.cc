@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -276,9 +275,7 @@ std::vector<ShardedEngine::ServedTable> ShardedEngine::ServedTables() const {
 Result<core::CandidateDepthCounts> ShardedEngine::CollectDepthCounts(
     const core::QueryTarget& target,
     const std::array<bool, core::kNumEvidence>& enabled_mask, size_t m) const {
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
+  D3L_RETURN_NOT_OK(core::CheckQueryTarget(target, options().index));
   std::vector<core::CandidateDepthCounts> counts(served_.size());
   pool_.ParallelFor(served_.size(), [&](size_t j) {
     counts[j] = shards_[served_[j]]->CollectDepthCounts(target, enabled_mask, m);
@@ -288,19 +285,14 @@ Result<core::CandidateDepthCounts> ShardedEngine::CollectDepthCounts(
   return total;
 }
 
-Result<ShardedEngine::ShardScore> ShardedEngine::ScoreAtStops(
+Result<ShardScore> ShardedEngine::ScoreAtStops(
     const core::QueryTarget& target, const core::CandidateStopDepths& stops,
     size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const {
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
-  if (stops.depths.size() != target.sigs.size()) {
-    return Status::InvalidArgument("stop depths do not match the target's columns");
-  }
+  D3L_RETURN_NOT_OK(core::CheckQueryTarget(target, options().index, &stops));
   const size_t n_cols = target.sigs.size();
 
-  // Retrieve per served shard at the externally resolved depths, remapped
-  // onto global ids (monotone per shard, so lists stay sorted).
+  // Retrieve per served shard, remapped onto global ids (monotone per
+  // shard, so lists stay sorted), then merge and re-cap at m.
   std::vector<core::CandidateLists> cand(served_.size());
   pool_.ParallelFor(served_.size(), [&](size_t j) {
     const size_t s = served_[j];
@@ -312,57 +304,29 @@ Result<ShardedEngine::ShardScore> ShardedEngine::ScoreAtStops(
     }
     cand[j] = std::move(lists);
   });
-
-  // Merge across the served shards and cap at the m smallest ids — this
-  // server's candidates for the cross-server merge.
   ShardScore score;
-  score.lists.ids.resize(n_cols);
-  for (size_t c = 0; c < n_cols; ++c) {
-    for (size_t e = 0; e < core::kNumEvidence; ++e) {
-      std::vector<uint32_t> merged;
-      for (const core::CandidateLists& lists : cand) {
-        const std::vector<uint32_t>& ids = lists.ids[c][e];
-        merged.insert(merged.end(), ids.begin(), ids.end());
-      }
-      std::sort(merged.begin(), merged.end());
-      if (merged.size() > m) merged.resize(m);
-      score.lists.ids[c][e] = std::move(merged);
-    }
-  }
+  score.lists = core::D3LEngine::MergeCandidateLists(cand, m);
 
-  // Score this server's per-column unions and return globally addressed
-  // rows. Superset rows are fine: the coordinator filters to the globally
-  // selected candidates, and a row is a pure function of (query, candidate).
+  // Split the per-column unions back into shard-local candidates, score
+  // them on their shards and return globally addressed rows.
   std::vector<std::vector<std::vector<uint32_t>>> shard_candidates(
-      served_.size(), std::vector<std::vector<uint32_t>>(n_cols));
+      shards_.size(), std::vector<std::vector<uint32_t>>(n_cols));
+  const std::vector<std::vector<uint32_t>> unions =
+      core::D3LEngine::UnionCandidates(score.lists);
   for (size_t c = 0; c < n_cols; ++c) {
-    std::vector<uint32_t> selected;
-    for (size_t e = 0; e < core::kNumEvidence; ++e) {
-      const std::vector<uint32_t>& ids = score.lists.ids[c][e];
-      selected.insert(selected.end(), ids.begin(), ids.end());
-    }
-    std::sort(selected.begin(), selected.end());
-    selected.erase(std::unique(selected.begin(), selected.end()), selected.end());
-    for (uint32_t g : selected) {
-      const auto it = std::find(served_.begin(), served_.end(),
-                                static_cast<size_t>(attr_shard_[g]));
-      shard_candidates[it - served_.begin()][c].push_back(attr_local_[g]);
+    for (uint32_t g : unions[c]) {
+      shard_candidates[attr_shard_[g]][c].push_back(attr_local_[g]);
     }
   }
   std::vector<std::vector<core::PairDistances>> rows(served_.size());
   pool_.ParallelFor(served_.size(), [&](size_t j) {
     const size_t s = served_[j];
-    rows[j] = shards_[s]->ScoreCandidates(target, shard_candidates[j], enabled_mask);
+    rows[j] = shards_[s]->ScoreCandidates(target, shard_candidates[s], enabled_mask);
     for (core::PairDistances& row : rows[j]) {
       row.attribute_id = attr_global_[s][row.attribute_id];
     }
   });
-  size_t total_rows = 0;
-  for (const auto& r : rows) total_rows += r.size();
-  score.rows.reserve(total_rows);
-  for (auto& r : rows) {
-    score.rows.insert(score.rows.end(), r.begin(), r.end());
-  }
+  for (const auto& r : rows) score.rows.insert(score.rows.end(), r.begin(), r.end());
   return score;
 }
 
@@ -374,203 +338,10 @@ Result<core::SearchResult> ShardedEngine::Search(
         "this engine serves a shard subset; whole-lake Search needs every "
         "shard (subset servers answer the phase API instead)");
   }
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
-  std::vector<ProfiledSlot> slots(1);
-  slots[0].qt = std::move(target);
-  std::vector<Result<core::SearchResult>> results =
-      ExecuteProfiled(std::move(slots), k, enabled_mask);
-  return std::move(results[0]);
-}
-
-std::vector<Result<core::SearchResult>> ShardedEngine::Execute(
-    const QueryBatch& batch) const {
-  const size_t n_targets = batch.targets.size();
-  std::vector<ProfiledSlot> slots(n_targets);
-  if (!serves_all()) {
-    for (ProfiledSlot& slot : slots) {
-      slot.error = Status::InvalidArgument(
-          "this engine serves a shard subset; whole-lake Search needs every "
-          "shard (subset servers answer the phase API instead)");
-    }
-    std::vector<Result<core::SearchResult>> out;
-    out.reserve(n_targets);
-    for (ProfiledSlot& slot : slots) out.emplace_back(std::move(slot.error));
-    return out;
-  }
-  std::unordered_map<const Table*, size_t> first_slot;
-  for (size_t i = 0; i < n_targets; ++i) {
-    if (batch.targets[i] == nullptr) {
-      slots[i].error = Status::InvalidArgument("batch target is null");
-    } else if (batch.targets[i]->num_columns() == 0) {
-      slots[i].error = Status::InvalidArgument("target has no columns");
-    } else {
-      // A Table repeated across slots is profiled (and scattered) once;
-      // the later slots reuse the first slot's work.
-      auto [it, inserted] = first_slot.try_emplace(batch.targets[i], i);
-      if (!inserted) slots[i].dup_of = it->second;
-    }
-  }
-
-  // Phase 1 — profile every distinct target once (signatures depend only
-  // on the uniform options, so any replica produces the same QueryTarget).
-  pool_.ParallelFor(n_targets, [&](size_t i) {
-    if (!slots[i].error.ok() || slots[i].dup_of != SIZE_MAX) return;
-    slots[i].qt = shards_[0]->ProfileTarget(*batch.targets[i]);
-  });
-
-  return ExecuteProfiled(std::move(slots), batch.k, options().enabled);
-}
-
-std::vector<Result<core::SearchResult>> ShardedEngine::ExecuteProfiled(
-    std::vector<ProfiledSlot> slots, size_t k,
-    const std::array<bool, core::kNumEvidence>& enabled_mask) const {
-  const size_t n_targets = slots.size();
-  const size_t n_shards = shards_.size();
-  const core::D3LOptions& opts = options();
-  const size_t per_index_m = std::max(opts.candidates_per_attribute, k);
-
-  struct TargetState {
-    core::CandidateStopDepths stops;
-    std::vector<std::vector<core::PairDistances>> shard_rows;
-    core::SearchResult result;
-  };
-  std::vector<TargetState> state(n_targets);
-  for (size_t i = 0; i < n_targets; ++i) {
-    if (slots[i].dup_of != SIZE_MAX && slots[i].error.ok()) {
-      slots[i].qt = slots[slots[i].dup_of].qt;
-    }
-    state[i].shard_rows.resize(n_shards);
-  }
-
-  // Phases 2-4 skip duplicate slots entirely: a repeated target reuses the
-  // source slot's stop depths and scored rows, so the N-shard work runs
-  // once per distinct table.
-  const auto is_live = [&slots](size_t i) {
-    return slots[i].error.ok() && slots[i].dup_of == SIZE_MAX;
-  };
-
-  // Phase 2 — scatter: per-(target, shard) candidate depth counts, each
-  // forest scan early-terminating once that shard alone saturates m.
-  std::vector<std::vector<core::CandidateDepthCounts>> counts(n_targets);
-  for (auto& per_shard : counts) per_shard.resize(n_shards);
-  pool_.ParallelFor(n_targets * n_shards, [&](size_t idx) {
-    const size_t i = idx / n_shards;
-    const size_t s = idx % n_shards;
-    if (!is_live(i)) return;
-    counts[i][s] = shards_[s]->CollectDepthCounts(slots[i].qt, enabled_mask, per_index_m);
-  });
-
-  // Coordinator — sum the disjoint-shard counts and resolve the stop
-  // depths every shard will retrieve at (the global synchronous-descent
-  // stop rule, identical to a single engine over the whole lake).
-  for (size_t i = 0; i < n_targets; ++i) {
-    if (!is_live(i)) continue;
-    core::CandidateDepthCounts total = std::move(counts[i][0]);
-    for (size_t s = 1; s < n_shards; ++s) total.Add(counts[i][s]);
-    state[i].stops = core::D3LEngine::ResolveStopDepths(total, per_index_m);
-  }
-
-  // Phase 3 — scatter: per-shard candidate lists at the stop depths, each
-  // remapped onto global ids (a monotone map, so lists stay sorted).
-  std::vector<std::vector<core::CandidateLists>> cand(n_targets);
-  for (auto& per_shard : cand) per_shard.resize(n_shards);
-  pool_.ParallelFor(n_targets * n_shards, [&](size_t idx) {
-    const size_t i = idx / n_shards;
-    const size_t s = idx % n_shards;
-    if (!is_live(i)) return;
-    core::CandidateLists lists =
-        shards_[s]->CollectCandidates(slots[i].qt, state[i].stops, per_index_m);
-    for (auto& per_evidence : lists.ids) {
-      for (auto& ids : per_evidence) {
-        for (uint32_t& id : ids) id = attr_global_[s][id];
-      }
-    }
-    cand[i][s] = std::move(lists);
-  });
-
-  // Coordinator — per (column, evidence), merge the sorted per-shard lists
-  // and keep the m globally smallest ids (the same canonical truncation a
-  // single engine applies), then split the per-column unions back into
-  // shard-local candidate vectors for scoring.
-  std::vector<std::vector<std::vector<std::vector<uint32_t>>>> shard_candidates(
-      n_targets);  // [target][shard][column] -> sorted local ids
-  for (size_t i = 0; i < n_targets; ++i) {
-    if (!is_live(i)) continue;
-    const size_t n_cols = slots[i].qt.sigs.size();
-    shard_candidates[i].assign(n_shards,
-                               std::vector<std::vector<uint32_t>>(n_cols));
-    for (size_t c = 0; c < n_cols; ++c) {
-      std::vector<uint32_t> selected;  // union over evidences, global ids
-      for (size_t e = 0; e < core::kNumEvidence; ++e) {
-        std::vector<uint32_t> merged;
-        for (size_t s = 0; s < n_shards; ++s) {
-          const std::vector<uint32_t>& ids = cand[i][s].ids[c][e];
-          merged.insert(merged.end(), ids.begin(), ids.end());
-        }
-        std::sort(merged.begin(), merged.end());
-        if (merged.size() > per_index_m) merged.resize(per_index_m);
-        selected.insert(selected.end(), merged.begin(), merged.end());
-      }
-      std::sort(selected.begin(), selected.end());
-      selected.erase(std::unique(selected.begin(), selected.end()),
-                     selected.end());
-      for (uint32_t g : selected) {
-        shard_candidates[i][attr_shard_[g]][c].push_back(attr_local_[g]);
-      }
-    }
-  }
-
-  // Phase 4 — scatter: score each shard's selected candidates and remap
-  // the shard-local attribute ids onto the global registry.
-  pool_.ParallelFor(n_targets * n_shards, [&](size_t idx) {
-    const size_t i = idx / n_shards;
-    const size_t s = idx % n_shards;
-    if (!is_live(i)) return;
-    std::vector<core::PairDistances> rows =
-        shards_[s]->ScoreCandidates(slots[i].qt, shard_candidates[i][s], enabled_mask);
-    for (core::PairDistances& row : rows) {
-      row.attribute_id = attr_global_[s][row.attribute_id];
-    }
-    state[i].shard_rows[s] = std::move(rows);
-  });
-
-  // Phase 5 — gather: concatenate the shard rows (RankRows canonically
-  // re-sorts them) and rank globally.
-  core::EvidenceWeights weights = opts.weights;
-  for (size_t t = 0; t < core::kNumEvidence; ++t) {
-    if (!enabled_mask[t]) weights.w[t] = 0;
-  }
-  pool_.ParallelFor(n_targets, [&](size_t i) {
-    if (!slots[i].error.ok()) return;
-    const auto& shard_rows = slots[i].dup_of != SIZE_MAX
-                                 ? state[slots[i].dup_of].shard_rows
-                                 : state[i].shard_rows;
-    std::vector<core::PairDistances> rows;
-    size_t total_rows = 0;
-    for (const auto& sr : shard_rows) total_rows += sr.size();
-    rows.reserve(total_rows);
-    for (const auto& sr : shard_rows) {
-      rows.insert(rows.end(), sr.begin(), sr.end());
-    }
-    state[i].result = core::D3LEngine::RankRows(
-        std::move(rows), slots[i].qt.sigs.size(), num_tables(),
-        [this](uint32_t id) { return attr_table_[id]; }, weights, k);
-    state[i].result.target_profiles = std::move(slots[i].qt.profiles);
-    state[i].result.target_sigs = std::move(slots[i].qt.sigs);
-  });
-
-  std::vector<Result<core::SearchResult>> out;
-  out.reserve(n_targets);
-  for (size_t i = 0; i < n_targets; ++i) {
-    if (!slots[i].error.ok()) {
-      out.emplace_back(std::move(slots[i].error));
-    } else {
-      out.emplace_back(std::move(state[i].result));
-    }
-  }
-  return out;
+  // Serial over the one part: this engine's phase calls already fan out on
+  // pool_, which must not be re-entered from its own workers.
+  return ScatterGatherSearch({this}, std::move(target), k, enabled_mask, options(),
+                             attr_table_, num_tables());
 }
 
 }  // namespace d3l::serving

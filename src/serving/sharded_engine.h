@@ -1,24 +1,13 @@
-// Scatter-gather query serving over a sharded lake.
+// Query serving over a sharded lake in one process.
 //
-// A ShardedEngine opens a manifest (see manifest.h), loads every shard's
-// snapshot into its own D3LEngine replica and serves top-k discovery
-// queries by fanning each query phase out across a fixed thread pool:
-//
-//   profile target        (once — signatures are shard-independent)
-//   depth counts          (per shard)        \  summed at the coordinator,
-//   resolve stop depths   (coordinator)       ) exactly reproducing the
-//   collect candidates    (per shard)        /  single-engine stop rule
-//   select first-m ids    (coordinator — the canonical id-order cap)
-//   score candidates      (per shard)
-//   gather + rank         (coordinator)
-//
-// Because shards index disjoint attribute sets, per-shard depth counts add
-// into exactly the whole-lake counts, per-shard candidate lists merge into
-// exactly the whole-lake id-order first-m, and per-candidate rows are pure
-// functions of (query, candidate). After remapping shard-local ids onto the
-// original lake's table/attribute numbering, the merged ranking is
-// byte-identical to a single unsharded engine's — distances, evidence
-// vectors, tie order and all (asserted by tests/serving_test.cc).
+// A ShardedEngine opens a manifest (see manifest.h) and loads every shard's
+// snapshot into its own D3LEngine replica. As a ShardClient it answers the
+// two phase calls for its shards, running them across the shards on a
+// fixed thread pool and remapping shard-local attribute ids onto the
+// original lake's numbering. Search is the scatter-gather coordinator
+// (scatter_gather.h, which also gives the exactness argument) over this one
+// part, so its rankings are byte-identical to a single unsharded engine's
+// (asserted by tests/serving_test.cc).
 //
 // ShardedEngine implements serving::SearchBackend, so front-ends
 // (DiscoveryService, the CLI) address it and a single-engine deployment
@@ -33,6 +22,7 @@
 #include "common/status.h"
 #include "core/query.h"
 #include "serving/manifest.h"
+#include "serving/scatter_gather.h"
 #include "serving/search_backend.h"
 #include "serving/thread_pool.h"
 #include "table/lake.h"
@@ -57,22 +47,14 @@ struct ShardedEngineOptions {
   /// numbering — reconstructed from the manifest's per-table column counts,
   /// so the manifest must be v3 — but answers only the phase API
   /// (CollectDepthCounts / ScoreAtStops) for its shards. Whole-lake
-  /// Search/Execute on a subset engine fails with InvalidArgument, because
+  /// Search on a subset engine fails with InvalidArgument, because
   /// stop depths resolved from a subset's counts alone would differ from
   /// the single-engine stop rule.
   std::vector<size_t> serve_shards;
 };
 
-/// \brief A batch of targets served together: M targets fan out into M x N
-/// shard tasks per phase, amortizing pool scheduling and keeping every
-/// worker busy even when single queries are cheap.
-struct QueryBatch {
-  std::vector<const Table*> targets;
-  size_t k = 10;
-};
-
-/// \brief Parallel scatter-gather SearchBackend over N shard replicas.
-class ShardedEngine : public SearchBackend {
+/// \brief SearchBackend and ShardClient over N shard replicas.
+class ShardedEngine : public SearchBackend, public ShardClient {
  public:
   /// Loads every shard named by the manifest (eagerly). Fails with a clean
   /// Status on a missing shard file, a checksum/size mismatch, shards whose
@@ -114,42 +96,20 @@ class ShardedEngine : public SearchBackend {
   /// Every served table, ascending by global id.
   std::vector<ServedTable> ServedTables() const;
 
-  // -- Phase API (remote scatter-gather building blocks) --
-  //
-  // A whole-lake query over N servers runs: every server sums depth counts
-  // over its shards (CollectDepthCounts); the coordinator Add()s them and
-  // resolves the stop depths once (core::D3LEngine::ResolveStopDepths, the
-  // global stop rule); every server then retrieves + scores at those depths
-  // (ScoreAtStops); the coordinator merges the returned global-id candidate
-  // lists, re-caps at m, filters the rows to the selected per-column unions
-  // and ranks. Byte-identical to one engine over the unsharded lake for the
-  // same reasons the in-process scatter-gather is (see file header).
+  // -- ShardClient: the served shards as one coordinator part --
 
-  /// Summed candidate depth counts over the served shards. `m` is the
-  /// per-index early-termination budget (max(candidates_per_attribute, k)).
+  /// Depth counts summed over the served shards.
   Result<core::CandidateDepthCounts> CollectDepthCounts(
       const core::QueryTarget& target,
-      const std::array<bool, core::kNumEvidence>& enabled_mask, size_t m) const;
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override;
 
-  /// ScoreAtStops output: the served shards' contribution to one query.
-  struct ShardScore {
-    /// Per (column, evidence) candidate ids in GLOBAL numbering, ascending,
-    /// merged across the served shards and capped at the m smallest — the
-    /// coordinator re-merges these across servers and re-caps at m, which
-    /// yields exactly the whole-lake first-m (an id in the global first-m
-    /// owned by this server is necessarily in this server's first-m).
-    core::CandidateLists lists;
-    /// Scored rows for this server's per-column candidate unions, attribute
-    /// ids in GLOBAL numbering. Rows are pure functions of (query,
-    /// candidate); the coordinator drops rows for candidates that fall out
-    /// of the global first-m after the cross-server merge.
-    std::vector<core::PairDistances> rows;
-  };
-
-  /// Retrieval + scoring at externally resolved stop depths.
+  /// Retrieval at the given stop depths on every served shard, merged and
+  /// capped at m, plus the rows of the merged unions. InvalidArgument for a
+  /// target or stop depths CheckQueryTarget rejects.
   Result<ShardScore> ScoreAtStops(
       const core::QueryTarget& target, const core::CandidateStopDepths& stops,
-      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const;
+      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const override;
 
   // -- SearchBackend --
   using SearchBackend::Search;  // the Profile+Search convenience overload
@@ -158,7 +118,8 @@ class ShardedEngine : public SearchBackend {
   /// uniform engine options, so any replica produces the same QueryTarget).
   Result<core::QueryTarget> Profile(const Table& target) const override;
 
-  /// Top-k search from a profiled target over the whole sharded lake.
+  /// Top-k search from a profiled target over the whole sharded lake: the
+  /// coordinator over this engine, with the shards in parallel on its pool.
   /// TableMatch::table_index and the attribute ids inside
   /// pairs/candidate_alignments are GLOBAL (the original lake's numbering),
   /// so results read exactly like a single engine's over the unsharded lake.
@@ -180,29 +141,8 @@ class ShardedEngine : public SearchBackend {
     return table_names_[table_index];
   }
 
-  /// Batched execution: results[i] corresponds to batch.targets[i]. A bad
-  /// target (null, or without columns) fails only its own slot. Targets
-  /// are profiled in parallel and duplicates (same Table pointer) are
-  /// profiled/scattered once.
-  std::vector<Result<core::SearchResult>> Execute(const QueryBatch& batch) const;
-
  private:
   ShardedEngine(ShardManifest manifest, size_t num_threads);
-
-  /// One batch slot after the profiling phase: failed, a duplicate of an
-  /// earlier slot, or a profiled target ready for the scatter phases.
-  struct ProfiledSlot {
-    Status error;
-    size_t dup_of = SIZE_MAX;  ///< earlier slot with the same profiled table
-    core::QueryTarget qt;
-  };
-
-  /// Phases 2-5 (scatter depth counts, resolve, scatter candidates, score,
-  /// gather/rank) for already-profiled slots — the shared engine behind
-  /// both Search(QueryTarget) and Execute(QueryBatch).
-  std::vector<Result<core::SearchResult>> ExecuteProfiled(
-      std::vector<ProfiledSlot> slots, size_t k,
-      const std::array<bool, core::kNumEvidence>& enabled_mask) const;
 
   ShardManifest manifest_;
   /// Schema-only metadata backing each loaded engine (must outlive it).

@@ -301,6 +301,53 @@ TEST_F(RpcServerTest, ApplicationErrorsComeBackAsWireStatuses) {
   ExpectServerStillHealthy();
 }
 
+TEST_F(RpcServerTest, MalformedTargetsAndStopDepthsAreErrorsNotCrashes) {
+  // Well-framed requests whose payload would index past an LSH key: a
+  // 3-value name signature (DCNT, SRCH) and a stop depth far deeper than
+  // any forest (SCOR). Each must come back as an error response.
+  auto profiled = engine_->Profile(testutil::FigureTarget());
+  ASSERT_TRUE(profiled.ok());
+  const std::array<bool, core::kNumEvidence> mask = engine_->options().enabled;
+  core::QueryTarget short_sig = *profiled;
+  short_sig.sigs[0].name_sig.resize(3);
+  core::CandidateStopDepths deep;
+  deep.depths.assign(profiled->sigs.size(), {});
+  deep.depths[0][static_cast<size_t>(core::Evidence::kName)] = 1000;
+
+  rpc::RpcClient client("127.0.0.1", server_->port());
+  const std::vector<std::pair<uint32_t, std::string>> requests = {
+      {rpc::kMethodDepthCounts,
+       rpc::BuildFrame(rpc::kMethodDepthCounts,
+                       [&](io::Writer& w) {
+                         core::SaveQueryTarget(w, short_sig);
+                         rpc::SaveMask(w, mask);
+                         w.WriteU64(64);
+                       })},
+      {rpc::kMethodSearch,
+       rpc::BuildFrame(rpc::kMethodSearch,
+                       [&](io::Writer& w) {
+                         core::SaveQueryTarget(w, short_sig);
+                         w.WriteU64(5);
+                         rpc::SaveMask(w, mask);
+                       })},
+      {rpc::kMethodScoreAtStops,
+       rpc::BuildFrame(rpc::kMethodScoreAtStops,
+                       [&](io::Writer& w) {
+                         core::SaveQueryTarget(w, *profiled);
+                         rpc::SaveStopDepths(w, deep);
+                         w.WriteU64(64);
+                         rpc::SaveMask(w, mask);
+                       })},
+  };
+  for (const auto& [method, request] : requests) {
+    auto response = client.CallChecked(method, request);
+    ASSERT_FALSE(response.ok()) << io::SectionName(method);
+    EXPECT_TRUE(response.status().IsInvalidArgument())
+        << io::SectionName(method) << ": " << response.status().ToString();
+    ExpectServerStillHealthy();
+  }
+}
+
 TEST_F(RpcServerTest, StatReturnsPrometheusExposition) {
   rpc::RpcClient client("127.0.0.1", server_->port());
   const std::string request =

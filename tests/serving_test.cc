@@ -1,11 +1,14 @@
 // The sharded serving subsystem: thread pool, shard planning, manifest
 // round trips and damage handling, and — the core property — exact
-// scatter-gather: a ShardedEngine over N shards returns rankings
-// byte-identical to a single unsharded engine over the same lake,
-// including distance ties, for N in {1, 2, 3, 7} on randomized lakes.
+// scatter-gather: a ShardedEngine over N shards, and the coordinator over N
+// single-shard subset engines, return rankings byte-identical to a single
+// unsharded engine over the same lake, including distance ties, for N in
+// {1, 2, 3, 7} on randomized lakes. Also: malformed targets and stop depths
+// are InvalidArgument, and malformed part answers are IOError.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -17,6 +20,7 @@
 #include "eval/experiment.h"
 #include "io/binary_io.h"
 #include "serving/manifest.h"
+#include "serving/scatter_gather.h"
 #include "serving/shard_builder.h"
 #include "serving/sharded_engine.h"
 #include "serving/thread_pool.h"
@@ -192,14 +196,41 @@ class ShardedParityTest : public ServingTest {
     EXPECT_EQ((*sharded)->num_shards(), num_shards);
     EXPECT_EQ((*sharded)->num_tables(), lake.size());
 
+    // The same deployment as N parts: one subset engine per shard, driven
+    // by the coordinator on a pool of its own (each part fans out on its
+    // own pool, so nothing re-enters a pool from its workers).
+    std::vector<std::unique_ptr<serving::ShardedEngine>> subsets;
+    std::vector<const serving::ShardClient*> parts;
+    for (size_t s = 0; s < num_shards; ++s) {
+      serving::ShardedEngineOptions subset_options;
+      subset_options.num_threads = 2;
+      subset_options.serve_shards = {s};
+      auto subset = serving::ShardedEngine::Open(report->manifest_path, subset_options);
+      ASSERT_TRUE(subset.ok()) << subset.status().ToString();
+      subsets.push_back(std::move(*subset));
+      parts.push_back(subsets.back().get());
+    }
+    // Global ids are the unsharded lake's numbering.
+    std::vector<uint32_t> attr_table(unsharded.indexes().num_attributes());
+    for (uint32_t id = 0; id < attr_table.size(); ++id) {
+      attr_table[id] = unsharded.indexes().profile(id).ref.table;
+    }
+    serving::ThreadPool coordinator_pool(2);
+
     for (const Table& target : targets) {
+      const std::string context =
+          "shards=" + std::to_string(num_shards) + " target=" + target.name();
       auto expected = unsharded.Search(target, k);
       auto actual = (*sharded)->Search(target, k);
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-      ExpectIdenticalResults(*expected, *actual,
-                             "shards=" + std::to_string(num_shards) +
-                                 " target=" + target.name());
+      ExpectIdenticalResults(*expected, *actual, context);
+
+      auto gathered = serving::ScatterGatherSearch(
+          parts, unsharded.ProfileTarget(target), k, unsharded.options().enabled,
+          unsharded.options(), attr_table, lake.size(), &coordinator_pool);
+      ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+      ExpectIdenticalResults(*expected, *gathered, context + " (subset parts)");
     }
   }
 };
@@ -261,37 +292,173 @@ TEST_F(ShardedParityTest, DuplicateTablesTieBreakDeterministically) {
   EXPECT_EQ(s2_family, 3);
 }
 
-TEST_F(ShardedParityTest, BatchedExecutionMatchesSequentialSearches) {
-  DataLake lake = MakeSyntheticLake(99);
-  serving::ShardingOptions options;
-  options.num_shards = 3;
-  auto report = serving::BuildShards(lake, options, Base("batch"));
-  ASSERT_TRUE(report.ok());
-  serving::ShardedEngineOptions open_options;
-  open_options.num_threads = 4;
-  auto sharded = serving::ShardedEngine::Open(report->manifest_path, open_options);
-  ASSERT_TRUE(sharded.ok());
+// ------------------------------------------------------- malformed input
 
-  std::vector<Table> targets;
-  for (uint32_t t : eval::SampleTargets(lake, 5, 3)) targets.push_back(lake.table(t));
-  Table empty("empty");
-
-  serving::QueryBatch batch;
-  for (const Table& t : targets) batch.targets.push_back(&t);
-  batch.targets.push_back(&targets[0]);  // duplicate pointer: profiled once
-  batch.targets.push_back(&empty);       // bad target fails only its own slot
-  batch.k = 8;
-  auto results = (*sharded)->Execute(batch);
-  ASSERT_EQ(results.size(), targets.size() + 2);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    ASSERT_TRUE(results[i].ok());
-    auto single = (*sharded)->Search(targets[i], batch.k);
-    ASSERT_TRUE(single.ok());
-    ExpectIdenticalResults(*single, *results[i], "batch slot " + std::to_string(i));
+class ScatterGatherInputTest : public ServingTest {
+ protected:
+  void SetUp() override {
+    ServingTest::SetUp();
+    lake_ = MakeTieLake();
+    serving::ShardingOptions options;
+    options.num_shards = 3;
+    auto report = serving::BuildShards(lake_, options, Base("input"));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    manifest_path_ = report->manifest_path;
+    auto sharded = serving::ShardedEngine::Open(manifest_path_);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    sharded_ = std::move(*sharded);
+    auto target = sharded_->Profile(testutil::FigureTarget());
+    ASSERT_TRUE(target.ok());
+    target_ = std::move(*target);
+    // Global ids are the unsharded lake's numbering.
+    core::D3LEngine unsharded;
+    ASSERT_TRUE(unsharded.IndexLake(lake_).ok());
+    for (uint32_t id = 0; id < unsharded.indexes().num_attributes(); ++id) {
+      attr_table_.push_back(unsharded.indexes().profile(id).ref.table);
+    }
   }
-  ASSERT_TRUE(results[targets.size()].ok());
-  ExpectIdenticalResults(*results[0], *results[targets.size()], "duplicate slot");
-  EXPECT_TRUE(results.back().status().IsInvalidArgument());
+
+  Result<core::SearchResult> Gather(const std::vector<const serving::ShardClient*>& parts) {
+    return serving::ScatterGatherSearch(parts, target_, 10, sharded_->options().enabled,
+                                        sharded_->options(), attr_table_, lake_.size());
+  }
+
+  DataLake lake_;
+  std::string manifest_path_;
+  std::unique_ptr<serving::ShardedEngine> sharded_;
+  core::QueryTarget target_;
+  std::vector<uint32_t> attr_table_;
+};
+
+TEST_F(ScatterGatherInputTest, MalformedTargetsAndStopsAreInvalidArgument) {
+  const auto mask = sharded_->options().enabled;
+  Table empty("empty");
+  EXPECT_TRUE(sharded_->Search(empty, 5).status().IsInvalidArgument());
+  EXPECT_TRUE(sharded_->Search(core::QueryTarget{}, 5, mask).status().IsInvalidArgument());
+
+  // A signature of the wrong length would index past an LSH key.
+  core::QueryTarget short_sig = target_;
+  short_sig.sigs[0].name_sig.resize(3);
+  EXPECT_TRUE(sharded_->Search(short_sig, 5, mask).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      sharded_->CollectDepthCounts(short_sig, mask, 64).status().IsInvalidArgument());
+  EXPECT_TRUE(sharded_->shard(0).SearchTarget(short_sig, 5, mask).status().IsInvalidArgument());
+  core::QueryTarget bad_bits = target_;
+  bad_bits.sigs[0].has_embedding = true;
+  bad_bits.sigs[0].emb_sig.bits = 7;
+  EXPECT_TRUE(sharded_->Search(bad_bits, 5, mask).status().IsInvalidArgument());
+
+  // Stop depths: one per column, none deeper than its forest.
+  auto counts = sharded_->CollectDepthCounts(target_, mask, 64);
+  ASSERT_TRUE(counts.ok());
+  core::CandidateStopDepths stops = core::D3LEngine::ResolveStopDepths(*counts, 64);
+  ASSERT_TRUE(sharded_->ScoreAtStops(target_, stops, 64, mask).ok());
+  core::CandidateStopDepths deep = stops;
+  deep.depths[0][static_cast<size_t>(core::Evidence::kName)] = 1000;
+  EXPECT_TRUE(sharded_->ScoreAtStops(target_, deep, 64, mask).status().IsInvalidArgument());
+  core::CandidateStopDepths deep_emb = stops;
+  deep_emb.depths[0][static_cast<size_t>(core::Evidence::kEmbedding)] =
+      core::ForestDepth(sharded_->options().index, core::Evidence::kEmbedding) + 1;
+  EXPECT_TRUE(
+      sharded_->ScoreAtStops(target_, deep_emb, 64, mask).status().IsInvalidArgument());
+  core::CandidateStopDepths short_stops = stops;
+  short_stops.depths.pop_back();
+  EXPECT_TRUE(
+      sharded_->ScoreAtStops(target_, short_stops, 64, mask).status().IsInvalidArgument());
+
+  // A subset engine cannot answer a whole-lake Search.
+  serving::ShardedEngineOptions subset_options;
+  subset_options.serve_shards = {1};
+  auto subset = serving::ShardedEngine::Open(manifest_path_, subset_options);
+  ASSERT_TRUE(subset.ok()) << subset.status().ToString();
+  EXPECT_TRUE((*subset)->Search(target_, 5, mask).status().IsInvalidArgument());
+}
+
+/// A part that answers like `inner`, then lets the test damage the answer.
+class TamperingPart : public serving::ShardClient {
+ public:
+  TamperingPart(const serving::ShardClient* inner,
+                std::function<void(core::CandidateDepthCounts*)> damage_counts,
+                std::function<void(serving::ShardScore*)> damage_score)
+      : inner_(inner),
+        damage_counts_(std::move(damage_counts)),
+        damage_score_(std::move(damage_score)) {}
+
+  Result<core::CandidateDepthCounts> CollectDepthCounts(
+      const core::QueryTarget& target,
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override {
+    auto counts = inner_->CollectDepthCounts(target, enabled_mask, m);
+    if (counts.ok() && damage_counts_) damage_counts_(&*counts);
+    return counts;
+  }
+
+  Result<serving::ShardScore> ScoreAtStops(
+      const core::QueryTarget& target, const core::CandidateStopDepths& stops,
+      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const override {
+    auto score = inner_->ScoreAtStops(target, stops, m, enabled_mask);
+    if (score.ok() && damage_score_) damage_score_(&*score);
+    return score;
+  }
+
+ private:
+  const serving::ShardClient* inner_;
+  std::function<void(core::CandidateDepthCounts*)> damage_counts_;
+  std::function<void(serving::ShardScore*)> damage_score_;
+};
+
+TEST_F(ScatterGatherInputTest, MalformedPartAnswersAreIOError) {
+  // Undamaged, the wrapper is the engine itself.
+  auto reference = sharded_->Search(target_, 10, sharded_->options().enabled);
+  ASSERT_TRUE(reference.ok());
+  TamperingPart honest(sharded_.get(), nullptr, nullptr);
+  auto gathered = Gather({&honest});
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  ExpectIdenticalResults(*reference, *gathered, "honest wrapper");
+
+  const size_t n_attrs = attr_table_.size();
+  const size_t name = static_cast<size_t>(core::Evidence::kName);
+  const std::vector<std::pair<std::string, TamperingPart>> cases = {
+      {"counts for an extra column",
+       TamperingPart(sharded_.get(),
+                     [](core::CandidateDepthCounts* c) { c->counts.emplace_back(); },
+                     nullptr)},
+      {"a longer depth histogram",
+       TamperingPart(sharded_.get(),
+                     [name](core::CandidateDepthCounts* c) {
+                       c->counts[0][name].push_back(1);
+                     },
+                     nullptr)},
+      {"lists for a missing column",
+       TamperingPart(sharded_.get(), nullptr,
+                     [](serving::ShardScore* s) { s->lists.ids.pop_back(); })},
+      {"a candidate id past the registry",
+       TamperingPart(sharded_.get(), nullptr,
+                     [name, n_attrs](serving::ShardScore* s) {
+                       s->lists.ids[0][name].push_back(static_cast<uint32_t>(n_attrs));
+                     })},
+      {"a row attribute past the registry",
+       TamperingPart(sharded_.get(), nullptr,
+                     [n_attrs](serving::ShardScore* s) {
+                       s->rows.front().attribute_id = static_cast<uint32_t>(n_attrs + 5);
+                     })},
+      {"a row column past the target",
+       TamperingPart(sharded_.get(), nullptr,
+                     [this](serving::ShardScore* s) {
+                       s->rows.back().target_column =
+                           static_cast<uint32_t>(target_.sigs.size());
+                     })},
+  };
+  for (const auto& [what, part] : cases) {
+    // In either position: counts whose shape differs from the first part's
+    // are caught on the second.
+    for (const auto& parts : std::vector<std::vector<const serving::ShardClient*>>{
+             {&part, &honest}, {&honest, &part}}) {
+      auto result = Gather(parts);
+      ASSERT_FALSE(result.ok()) << what;
+      EXPECT_TRUE(result.status().IsIOError()) << what << ": " << result.status().ToString();
+    }
+  }
 }
 
 // -------------------------------------------------------- manifest damage

@@ -7,13 +7,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/query.h"
 #include "io/binary_io.h"
-#include "lsh/lsh_ensemble.h"
 #include "lsh/lsh_forest.h"
+#include "lsh/minhash.h"
 #include "table/lake.h"
 #include "tests/test_util.h"
 
@@ -290,43 +291,6 @@ TEST_F(SnapshotTest, LshForestRoundTripPreservesQueries) {
   for (const Signature& q : sigs) {
     EXPECT_EQ(loaded.Query(q, 10), forest.Query(q, 10));
     EXPECT_EQ(loaded.QueryAtDepth(q, 2), forest.QueryAtDepth(q, 2));
-  }
-}
-
-TEST_F(SnapshotTest, LshEnsembleRoundTripPreservesContainmentQueries) {
-  MinHasher hasher(128, 5);
-  LshEnsembleOptions ensemble_options;
-  ensemble_options.signature_size = 128;  // must match the hasher's k
-  LshEnsemble ensemble(ensemble_options);
-  std::vector<std::pair<Signature, size_t>> queries;
-  for (uint32_t i = 0; i < 30; ++i) {
-    std::set<std::string> s;
-    size_t n = 10 + i * 7;  // skewed cardinalities
-    for (size_t j = 0; j < n; ++j) s.insert("v" + std::to_string(j * (i % 5 + 1)));
-    ensemble.Insert(i, hasher.Sign(s), s.size());
-    if (i % 6 == 0) queries.emplace_back(hasher.Sign(s), s.size());
-  }
-  ensemble.Index();
-
-  const std::string path = Path("ensemble.bin");
-  io::Writer w;
-  ASSERT_TRUE(w.Open(path, kTestMagic, 1).ok());
-  w.BeginSection(kId);
-  ensemble.Save(w);
-  ASSERT_TRUE(w.Finish().ok());
-
-  io::Reader r;
-  ASSERT_TRUE(r.Open(path, kTestMagic, 1).ok());
-  ASSERT_TRUE(r.OpenSection(kId).ok());
-  LshEnsemble loaded = LshEnsemble::Load(r);
-  ASSERT_TRUE(r.status().ok());
-  ASSERT_TRUE(r.EndSection().ok());
-
-  EXPECT_EQ(loaded.size(), ensemble.size());
-  EXPECT_EQ(loaded.num_partitions(), ensemble.num_partitions());
-  for (const auto& [sig, size] : queries) {
-    EXPECT_EQ(loaded.QueryContainment(sig, size, 0.6),
-              ensemble.QueryContainment(sig, size, 0.6));
   }
 }
 
