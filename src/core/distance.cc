@@ -1,6 +1,6 @@
 #include "core/distance.h"
 
-#include <algorithm>
+#include <initializer_list>
 
 #include "stats/ks.h"
 
@@ -8,110 +8,65 @@ namespace d3l::core {
 
 namespace {
 
-// True iff `id` appears in the threshold lookup of any of the four indexes
-// for the given query signatures (the existential I* interpretation).
-bool RelatedUnderAnyIndex(const D3LIndexes& indexes, const AttributeSignatures& query,
-                          uint32_t id) {
-  for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
-                     Evidence::kEmbedding}) {
-    std::vector<uint32_t> hits = indexes.LookupThreshold(e, query);
-    if (std::find(hits.begin(), hits.end(), id) != hits.end()) return true;
+// Bitmap over attribute ids [0, n) with the threshold hits of `query` under
+// each of `evidences` set.
+void FillHits(const D3LIndexes& indexes, const AttributeSignatures& query,
+              std::initializer_list<Evidence> evidences, std::vector<uint64_t>* bits) {
+  bits->assign(indexes.num_attributes() / 64 + 1, 0);
+  for (Evidence e : evidences) {
+    for (uint32_t id : indexes.LookupThreshold(e, query)) {
+      (*bits)[id / 64] |= uint64_t{1} << (id % 64);
+    }
   }
-  return false;
 }
 
-bool InThresholdLookup(const D3LIndexes& indexes, Evidence e,
-                       const AttributeSignatures& query, uint32_t id) {
-  std::vector<uint32_t> hits = indexes.LookupThreshold(e, query);
-  return std::find(hits.begin(), hits.end(), id) != hits.end();
+bool TestBit(const std::vector<uint64_t>& bits, uint32_t id) {
+  return (bits[id / 64] >> (id % 64)) & 1;
 }
 
 }  // namespace
 
-double ComputeDistributionDistance(const D3LIndexes& indexes,
-                                   const AttributeProfile& target_profile,
-                                   const AttributeSignatures& target_sigs,
-                                   uint32_t candidate_id,
-                                   const DistributionGuardContext& guard) {
-  const AttributeProfile& cand = indexes.profile(candidate_id);
-  if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
-  if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
+DistributionScorer::DistributionScorer(const D3LIndexes& indexes,
+                                       const AttributeSignatures* target_subject)
+    : indexes_(indexes), target_subject_(target_subject) {}
 
-  // Algorithm 2, line 4: subject attributes related under I*.
-  bool guard_passed = false;
-  if (guard.target_subject != nullptr && guard.source_subject_id != UINT32_MAX) {
-    guard_passed =
-        RelatedUnderAnyIndex(indexes, *guard.target_subject, guard.source_subject_id);
+void DistributionScorer::SetColumn(const AttributeProfile& profile,
+                                   const AttributeSignatures& sigs) {
+  column_profile_ = &profile;
+  column_sigs_ = &sigs;
+  column_built_ = false;
+}
+
+bool DistributionScorer::SubjectsRelated(uint32_t source_subject_id) {
+  // Algorithm 2, line 4: the subject attributes related under I*.
+  if (target_subject_ == nullptr || source_subject_id == UINT32_MAX) return false;
+  if (!subject_built_) {
+    FillHits(indexes_, *target_subject_,
+             {Evidence::kName, Evidence::kValue, Evidence::kFormat, Evidence::kEmbedding},
+             &subject_hits_);
+    subject_built_ = true;
   }
+  return TestBit(subject_hits_, source_subject_id);
+}
+
+bool DistributionScorer::ColumnGuardHit(uint32_t candidate_id) {
   // Lines 5-6: a' in IN.lookup(a) or a' in IF.lookup(a).
-  if (!guard_passed) {
-    guard_passed = InThresholdLookup(indexes, Evidence::kName, target_sigs, candidate_id);
+  if (!column_built_) {
+    FillHits(indexes_, *column_sigs_, {Evidence::kName, Evidence::kFormat}, &column_hits_);
+    column_built_ = true;
   }
-  if (!guard_passed) {
-    guard_passed =
-        InThresholdLookup(indexes, Evidence::kFormat, target_sigs, candidate_id);
-  }
-  if (!guard_passed) return 1.0;  // line 7
-
-  return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
+  return TestBit(column_hits_, candidate_id);
 }
 
-PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
-                              const AttributeSignatures& target_sigs,
-                              const AttributeSignatures* target_subject) {
-  PrecomputedGuards g;
-  if (target_subject != nullptr) {
-    for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
-                       Evidence::kEmbedding}) {
-      for (uint32_t id : indexes.LookupThreshold(e, *target_subject)) {
-        g.target_subject_istar.insert(id);
-      }
-    }
+double DistributionScorer::Distance(uint32_t candidate_id, uint32_t source_subject_id) {
+  const AttributeProfile& target = *column_profile_;
+  const AttributeProfile& cand = indexes_.profile(candidate_id);
+  if (!target.is_numeric || !cand.is_numeric) return 1.0;
+  if (target.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
+  if (!SubjectsRelated(source_subject_id) && !ColumnGuardHit(candidate_id)) {
+    return 1.0;  // line 7
   }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kName, target_sigs)) {
-    g.name_hits.insert(id);
-  }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kFormat, target_sigs)) {
-    g.format_hits.insert(id);
-  }
-  return g;
-}
-
-double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
-                                       const AttributeProfile& target_profile,
-                                       uint32_t candidate_id,
-                                       const PrecomputedGuards& guards,
-                                       uint32_t source_subject_id) {
-  const AttributeProfile& cand = indexes.profile(candidate_id);
-  if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
-  if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
-
-  bool guard_passed =
-      (source_subject_id != UINT32_MAX &&
-       guards.target_subject_istar.count(source_subject_id) > 0) ||
-      guards.name_hits.count(candidate_id) > 0 ||
-      guards.format_hits.count(candidate_id) > 0;
-  if (!guard_passed) return 1.0;
-  return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
-}
-
-DistanceVector ComputeDistances(const D3LIndexes& indexes,
-                                const AttributeProfile& target_profile,
-                                const AttributeSignatures& target_sigs,
-                                uint32_t candidate_id,
-                                const DistributionGuardContext& guard) {
-  DistanceVector d = MaxDistances();
-  d[static_cast<size_t>(Evidence::kName)] =
-      indexes.EstimateDistance(Evidence::kName, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kValue)] =
-      indexes.EstimateDistance(Evidence::kValue, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kFormat)] =
-      indexes.EstimateDistance(Evidence::kFormat, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kEmbedding)] =
-      indexes.EstimateDistance(Evidence::kEmbedding, target_sigs, candidate_id);
-  d[static_cast<size_t>(Evidence::kDistribution)] = ComputeDistributionDistance(
-      indexes, target_profile, target_sigs, candidate_id, guard);
-  return d;
+  return KsStatistic(target.numeric_sample, cand.numeric_sample);
 }
 
 }  // namespace d3l::core

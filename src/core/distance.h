@@ -1,68 +1,56 @@
-// Pairwise attribute distances, including the guarded D-relatedness
-// computation of Algorithm 2.
+// Distribution relatedness DD: the guarded KS computation of Algorithm 2.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
-#include "core/evidence.h"
 #include "core/indexes.h"
 
 namespace d3l::core {
 
-/// \brief Inputs to Algorithm 2 that depend on the query side.
-struct DistributionGuardContext {
-  /// Signatures of the *subject attribute* of the target table.
-  const AttributeSignatures* target_subject = nullptr;
-  /// Attribute id of the subject attribute of the candidate's table
-  /// (UINT32_MAX when the table has none).
-  uint32_t source_subject_id = UINT32_MAX;
-};
-
-/// \brief Computes DD(a, a') per Algorithm 2.
+/// \brief Algorithm 2 over the candidates of one query, column by column.
 ///
-/// Returns KS over the two numeric samples if (i) the subject attributes of
-/// the two tables are related under any index (I*), or (ii) a' is in
-/// IN.lookup(a), or (iii) a' is in IF.lookup(a); returns 1 otherwise.
-/// Both attributes must be numeric; returns 1 if either is not.
-double ComputeDistributionDistance(const D3LIndexes& indexes,
-                                   const AttributeProfile& target_profile,
-                                   const AttributeSignatures& target_sigs,
-                                   uint32_t candidate_id,
-                                   const DistributionGuardContext& guard);
+/// DD(a, a') is the KS statistic over the two numeric samples if (i) the
+/// subject attributes of the two tables are related under any index (I*),
+/// or (ii) a' is in IN.lookup(a), or (iii) a' is in IF.lookup(a); it is 1
+/// otherwise, and 1 whenever either attribute is not numeric or has an
+/// empty sample. Samples must be sorted ascending and NaN-free
+/// (stats/ks.h IsKsSample): BuildProfile makes them so, and snapshot loads
+/// and CheckQueryTarget reject any that are not.
+///
+/// The guard sets are flat bitmaps over attribute ids, built lazily and at
+/// most once each: the target subject's I* hits on the first numeric pair
+/// whose candidate table has a subject, a column's IN/IF hits on the first
+/// numeric pair of that column that I* does not admit. A query with no
+/// numeric pair does no guard lookup at all. One instance serves one query
+/// on one thread.
+class DistributionScorer {
+ public:
+  /// \param target_subject signatures of the target table's subject
+  ///        attribute (nullptr if the target has none); must outlive this.
+  DistributionScorer(const D3LIndexes& indexes, const AttributeSignatures* target_subject);
 
-/// \brief Full 5-way distance vector between a target attribute (profile +
-/// signatures) and an indexed attribute. Missing evidence maps to 1.
-DistanceVector ComputeDistances(const D3LIndexes& indexes,
-                                const AttributeProfile& target_profile,
-                                const AttributeSignatures& target_sigs,
-                                uint32_t candidate_id,
-                                const DistributionGuardContext& guard);
+  /// Moves to target column a; both arguments must outlive the Distance
+  /// calls that follow.
+  void SetColumn(const AttributeProfile& profile, const AttributeSignatures& sigs);
 
-/// \brief Precomputed Algorithm-2 guard sets, shared across the candidates
-/// of one target attribute (avoids re-hashing the query per candidate).
-struct PrecomputedGuards {
-  /// I* threshold hits of the *target table's subject attribute*.
-  std::unordered_set<uint32_t> target_subject_istar;
-  /// IN / IF threshold hits of the target attribute itself.
-  std::unordered_set<uint32_t> name_hits;
-  std::unordered_set<uint32_t> format_hits;
+  /// DD(a, a') for the current column a and the indexed attribute
+  /// a' = `candidate_id`, whose table's subject attribute is
+  /// `source_subject_id` (UINT32_MAX when that table has none).
+  double Distance(uint32_t candidate_id, uint32_t source_subject_id);
+
+ private:
+  bool SubjectsRelated(uint32_t source_subject_id);
+  bool ColumnGuardHit(uint32_t candidate_id);
+
+  const D3LIndexes& indexes_;
+  const AttributeSignatures* target_subject_;
+  const AttributeProfile* column_profile_ = nullptr;
+  const AttributeSignatures* column_sigs_ = nullptr;
+  std::vector<uint64_t> subject_hits_;  ///< I* hits of the target subject
+  std::vector<uint64_t> column_hits_;   ///< IN and IF hits of the column
+  bool subject_built_ = false;
+  bool column_built_ = false;
 };
-
-/// \brief Builds the guard sets for one target attribute.
-/// \param target_subject signatures of the target table's subject attribute
-///        (nullptr if the target has none).
-PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
-                              const AttributeSignatures& target_sigs,
-                              const AttributeSignatures* target_subject);
-
-/// \brief Algorithm 2 with precomputed guard sets. `source_subject_id` is
-/// the attribute id of the candidate table's subject attribute (UINT32_MAX
-/// if none).
-double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
-                                       const AttributeProfile& target_profile,
-                                       uint32_t candidate_id,
-                                       const PrecomputedGuards& guards,
-                                       uint32_t source_subject_id);
 
 }  // namespace d3l::core

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 
+#include "stats/ks.h"
+
 namespace d3l::core {
 
 namespace {
@@ -320,6 +322,11 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
     D3L_RETURN_NOT_OK(r.status());
     if (!SignatureShapeMatches(s, o)) {
       return Status::IOError("corrupt file: signature sizes contradict index options");
+    }
+    // KS merges the samples as stored (stats/ks.h); an unsorted or NaN
+    // sample would give wrong distances or never finish the merge.
+    if (!IsKsSample(profile.numeric_sample)) {
+      return Status::IOError("corrupt file: numeric sample unsorted or NaN");
     }
     idx.profiles_.push_back(std::move(profile));
     idx.sigs_.push_back(std::move(s));

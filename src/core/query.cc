@@ -9,7 +9,9 @@
 #include <thread>
 
 #include "common/hash.h"
+#include "core/distance.h"
 #include "io/binary_io.h"
+#include "stats/ks.h"
 
 namespace d3l::core {
 
@@ -482,6 +484,11 @@ Status CheckQueryTarget(const QueryTarget& target, const IndexOptions& options,
           "target signature sizes contradict the index options");
     }
   }
+  for (const AttributeProfile& profile : target.profiles) {
+    if (!IsKsSample(profile.numeric_sample)) {
+      return Status::InvalidArgument("target numeric sample is unsorted or has NaN");
+    }
+  }
   if (stops == nullptr) return Status::OK();
   if (stops->depths.size() != n_cols) {
     return Status::InvalidArgument("stop depths do not match the target's columns");
@@ -612,21 +619,25 @@ std::vector<PairDistances> D3LEngine::ScoreCandidates(
   const auto enabled = [&](Evidence e) {
     return enabled_mask[static_cast<size_t>(e)];
   };
-  const AttributeSignatures* target_subject_sigs =
-      target.subject_col >= 0 ? &target.sigs[static_cast<size_t>(target.subject_col)]
-                              : nullptr;
+  const bool use_distribution = enabled(Evidence::kDistribution);
+  DistributionScorer distribution(
+      indexes_, target.subject_col >= 0
+                    ? &target.sigs[static_cast<size_t>(target.subject_col)]
+                    : nullptr);
 
+  size_t n_rows = 0;
+  for (const std::vector<uint32_t>& candidates : per_column_candidates) {
+    n_rows += candidates.size();
+  }
   std::vector<PairDistances> rows;
+  rows.reserve(n_rows);
   for (size_t c = 0; c < target.sigs.size(); ++c) {
     const AttributeSignatures& qsigs = target.sigs[c];
-    const AttributeProfile& qprof = target.profiles[c];
     const std::vector<uint32_t>& candidates = per_column_candidates[c];
     if (candidates.empty()) continue;
-
-    PrecomputedGuards guards = BuildGuards(indexes_, qsigs, target_subject_sigs);
+    distribution.SetColumn(target.profiles[c], qsigs);
 
     for (uint32_t id : candidates) {
-      const AttributeProfile& cand_prof = indexes_.profile(id);
       PairDistances row;
       row.target_column = static_cast<uint32_t>(c);
       row.attribute_id = id;
@@ -635,10 +646,9 @@ std::vector<PairDistances> D3LEngine::ScoreCandidates(
         size_t t = static_cast<size_t>(e);
         row.d[t] = enabled(e) ? indexes_.EstimateDistance(e, qsigs, id) : 1.0;
       }
-      if (enabled(Evidence::kDistribution)) {
-        uint32_t src_subject = subject_attribute_id(cand_prof.ref.table);
-        row.d[static_cast<size_t>(Evidence::kDistribution)] =
-            ComputeDistributionDistanceFast(indexes_, qprof, id, guards, src_subject);
+      if (use_distribution) {
+        row.d[static_cast<size_t>(Evidence::kDistribution)] = distribution.Distance(
+            id, subject_attribute_id(indexes_.profile(id).ref.table));
       }
       rows.push_back(row);
     }

@@ -13,7 +13,6 @@
 #include "core/aggregation.h"
 #include "io/binary_io.h"
 #include "core/attribute_profile.h"
-#include "core/distance.h"
 #include "core/indexes.h"
 #include "core/subject_attribute.h"
 #include "embedding/subword_model.h"

@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace d3l {
 
@@ -49,6 +48,58 @@ size_t PrefixUpperBound(const uint64_t* keys, size_t stride, size_t first, size_
   return first;
 }
 
+/// Per-thread id -> deepest-match scratch shared by the lookups below: a
+/// flat array indexed by item id (0 = not seen) plus the ids touched, so a
+/// lookup allocates nothing once the array has grown to the largest id this
+/// thread has seen, and resets by clearing only the touched slots. Its
+/// memory is proportional to the largest item id, which for the engine's
+/// dense attribute ids is the attribute count.
+class DepthScratch {
+ public:
+  /// Leases the calling thread's scratch; the destructor resets it, so every
+  /// lookup starts from a clean scratch however the previous one ended.
+  DepthScratch() : s_(ThreadState()) {}
+  ~DepthScratch() {
+    for (uint32_t id : s_.touched) s_.depth[id] = 0;
+    s_.touched.clear();
+  }
+  DepthScratch(const DepthScratch&) = delete;
+  DepthScratch& operator=(const DepthScratch&) = delete;
+
+  /// Records a match of `id` at prefix depth `d` >= 1, keeping the deepest;
+  /// true when `id` was not seen before in this lookup.
+  bool Raise(uint32_t id, size_t d) {
+    if (id >= s_.depth.size()) s_.depth.resize(size_t{id} + 1, 0);
+    uint32_t& slot = s_.depth[id];
+    const bool first = slot == 0;
+    if (first) s_.touched.push_back(id);
+    if (d > slot) slot = static_cast<uint32_t>(d);
+    return first;
+  }
+
+  /// Distinct ids seen so far.
+  size_t seen() const { return s_.touched.size(); }
+
+  /// counts[d-1] = number of seen ids whose deepest match is >= d.
+  std::vector<size_t> SuffixCounts(size_t kpt) const {
+    std::vector<size_t> counts(kpt, 0);
+    for (uint32_t id : s_.touched) counts[s_.depth[id] - 1]++;
+    for (size_t d = kpt - 1; d-- > 0;) counts[d] += counts[d + 1];
+    return counts;
+  }
+
+ private:
+  struct State {
+    std::vector<uint32_t> depth;
+    std::vector<uint32_t> touched;
+  };
+  static State& ThreadState() {
+    thread_local State state;
+    return state;
+  }
+  State& s_;
+};
+
 }  // namespace
 
 LshForestOptions ClampForestToSignature(LshForestOptions f, size_t available_values) {
@@ -78,14 +129,9 @@ void LshForest::CheckSignatureSize(const Signature& sig) const {
   }
 }
 
-std::vector<uint64_t> LshForest::TreeKey(size_t tree, const Signature& sig) const {
-  const size_t kpt = options_.hashes_per_tree;
-  assert(sig.size() >= options_.num_trees * kpt);
-  std::vector<uint64_t> key(kpt);
-  for (size_t i = 0; i < kpt; ++i) {
-    key[i] = sig[tree * kpt + i];
-  }
-  return key;
+const uint64_t* LshForest::TreeKey(size_t tree, const Signature& sig) const {
+  assert(sig.size() >= options_.num_trees * options_.hashes_per_tree);
+  return sig.data() + tree * options_.hashes_per_tree;
 }
 
 void LshForest::DetachTree(Tree& tree) {
@@ -148,40 +194,33 @@ void LshForest::Index() {
   }
 }
 
-void LshForest::CollectAtDepth(const Tree& tree, const std::vector<uint64_t>& key,
-                               size_t depth, std::vector<ItemId>* out) const {
+std::pair<size_t, size_t> LshForest::PrefixRange(const Tree& tree, const uint64_t* key,
+                                                  size_t depth) const {
   assert(tree.sorted);
   // Entries matching the first `depth` components form a contiguous sorted
   // range; locate it with prefix-comparing binary searches.
   const size_t kpt = options_.hashes_per_tree;
   const uint64_t* keys = tree.keys();
-  const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key.data(), depth);
-  const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key.data(), depth);
-  const ItemId* ids = tree.ids();
-  for (size_t i = lo; i < hi; ++i) {
-    out->push_back(ids[i]);
-  }
+  const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key, depth);
+  const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key, depth);
+  return {lo, hi};
 }
 
 std::vector<LshForest::ItemId> LshForest::Query(const Signature& signature,
                                                 size_t m) const {
-  std::unordered_set<ItemId> seen;
   std::vector<ItemId> result;
   if (m == 0) return result;
   CheckSignatureSize(signature);
-  std::vector<std::vector<uint64_t>> keys(trees_.size());
-  for (size_t t = 0; t < trees_.size(); ++t) keys[t] = TreeKey(t, signature);
+  DepthScratch seen;
 
   // Descend from the deepest prefix; stop as soon as enough distinct
   // candidates have been accumulated (LSH Forest's synchronous descent).
   for (size_t depth = options_.hashes_per_tree; depth >= 1; --depth) {
-    std::vector<ItemId> level;
     for (size_t t = 0; t < trees_.size(); ++t) {
-      CollectAtDepth(trees_[t], keys[t], depth, &level);
-    }
-    for (ItemId id : level) {
-      if (seen.insert(id).second) {
-        result.push_back(id);
+      const auto [lo, hi] = PrefixRange(trees_[t], TreeKey(t, signature), depth);
+      const ItemId* ids = trees_[t].ids();
+      for (size_t i = lo; i < hi; ++i) {
+        if (seen.Raise(ids[i], depth)) result.push_back(ids[i]);
       }
     }
     if (result.size() >= m) break;
@@ -194,13 +233,13 @@ std::vector<LshForest::ItemId> LshForest::QueryAtDepth(const Signature& signatur
                                                        size_t min_depth) const {
   assert(min_depth >= 1 && min_depth <= options_.hashes_per_tree);
   CheckSignatureSize(signature);
-  std::unordered_set<ItemId> seen;
+  DepthScratch seen;
   std::vector<ItemId> result;
   for (size_t t = 0; t < trees_.size(); ++t) {
-    std::vector<ItemId> level;
-    CollectAtDepth(trees_[t], TreeKey(t, signature), min_depth, &level);
-    for (ItemId id : level) {
-      if (seen.insert(id).second) result.push_back(id);
+    const auto [lo, hi] = PrefixRange(trees_[t], TreeKey(t, signature), min_depth);
+    const ItemId* ids = trees_[t].ids();
+    for (size_t i = lo; i < hi; ++i) {
+      if (seen.Raise(ids[i], min_depth)) result.push_back(ids[i]);
     }
   }
   return result;
@@ -210,32 +249,25 @@ std::vector<size_t> LshForest::DepthCounts(const Signature& signature,
                                            size_t budget) const {
   CheckSignatureSize(signature);
   const size_t kpt = options_.hashes_per_tree;
+  DepthScratch deepest;  // deepest matching prefix per item across all trees
   if (budget == 0) {
-    // Exact histogram: deepest matching prefix per item across all trees.
-    // One pass over the depth-1 range of every tree (a superset of every
-    // deeper range) beats re-collecting the deeper ranges once per depth.
-    std::unordered_map<ItemId, size_t> deepest;
+    // Exact histogram. One pass over the depth-1 range of every tree (a
+    // superset of every deeper range) beats re-collecting the deeper ranges
+    // once per depth.
     for (size_t t = 0; t < trees_.size(); ++t) {
       const Tree& tree = trees_[t];
-      assert(tree.sorted);
-      const std::vector<uint64_t> key = TreeKey(t, signature);
+      const uint64_t* key = TreeKey(t, signature);
       const uint64_t* keys = tree.keys();
       const ItemId* ids = tree.ids();
-      const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key.data(), 1);
-      const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key.data(), 1);
+      const auto [lo, hi] = PrefixRange(tree, key, 1);
       for (size_t i = lo; i < hi; ++i) {
         const uint64_t* entry = keys + i * kpt;
         size_t lcp = 1;
         while (lcp < kpt && entry[lcp] == key[lcp]) ++lcp;
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, lcp);
+        deepest.Raise(ids[i], lcp);
       }
     }
-    std::vector<size_t> counts(kpt, 0);
-    for (const auto& [id, depth] : deepest) counts[depth - 1]++;
-    // Suffix-sum the histogram: counts[d-1] becomes |{items: lcp >= d}|.
-    for (size_t d = kpt - 1; d-- > 0;) counts[d] += counts[d + 1];
-    return counts;
+    return deepest.SuffixCounts(kpt);
   }
 
   // Budgeted descent over nested prefix ranges: per tree, the entries
@@ -245,7 +277,7 @@ std::vector<size_t> LshForest::DepthCounts(const Signature& signature,
   // deeper than where the cumulative distinct count saturates the budget.
   struct TreeRange {
     const Tree* tree;
-    std::vector<uint64_t> key;
+    const uint64_t* key;
     size_t lo = 0, hi = 0;  ///< current range (depth d+1 when expanding to d)
   };
   std::vector<TreeRange> ranges;
@@ -255,43 +287,31 @@ std::vector<size_t> LshForest::DepthCounts(const Signature& signature,
     TreeRange r{&trees_[t], TreeKey(t, signature), 0, 0};
     // Seed with the (possibly empty) deepest range's insertion point so the
     // first expansion below starts from a valid nested position.
-    r.lo = r.hi = PrefixLowerBound(r.tree->keys(), kpt, 0, r.tree->size,
-                                   r.key.data(), kpt);
-    ranges.push_back(std::move(r));
+    r.lo = r.hi = PrefixLowerBound(r.tree->keys(), kpt, 0, r.tree->size, r.key, kpt);
+    ranges.push_back(r);
   }
 
-  std::unordered_map<ItemId, size_t> deepest;  // exact lcp of every scanned item
   size_t stopped_above = 0;  // depths < this were never scanned (clamped)
   for (size_t d = kpt; d >= 1; --d) {
     for (TreeRange& r : ranges) {
       const uint64_t* keys = r.tree->keys();
       const ItemId* ids = r.tree->ids();
-      const size_t lo =
-          PrefixLowerBound(keys, kpt, 0, r.lo, r.key.data(), d);
-      const size_t hi =
-          PrefixUpperBound(keys, kpt, r.hi, r.tree->size, r.key.data(), d);
+      const size_t lo = PrefixLowerBound(keys, kpt, 0, r.lo, r.key, d);
+      const size_t hi = PrefixUpperBound(keys, kpt, r.hi, r.tree->size, r.key, d);
       // Entries in [lo, r.lo) and [r.hi, hi) match d values but not d+1:
       // their lcp with the query is exactly d.
-      for (size_t i = lo; i < r.lo; ++i) {
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, d);
-      }
-      for (size_t i = r.hi; i < hi; ++i) {
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, d);
-      }
+      for (size_t i = lo; i < r.lo; ++i) deepest.Raise(ids[i], d);
+      for (size_t i = r.hi; i < hi; ++i) deepest.Raise(ids[i], d);
       r.lo = lo;
       r.hi = hi;
     }
-    if (deepest.size() >= budget) {
+    if (deepest.seen() >= budget) {
       stopped_above = d - 1;  // depths 1..d-1 not scanned
       break;
     }
   }
 
-  std::vector<size_t> counts(kpt, 0);
-  for (const auto& [id, depth] : deepest) counts[depth - 1]++;
-  for (size_t d = kpt - 1; d-- > 0;) counts[d] += counts[d + 1];
+  std::vector<size_t> counts = deepest.SuffixCounts(kpt);
   // Clamp the unscanned shallow depths to the saturation count. True counts
   // there are >= this value, which is itself >= budget, so neither the
   // local stop rule nor a shard-summed one can be diverted by the clamp.

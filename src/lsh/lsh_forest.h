@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -54,7 +55,9 @@ enum class ForestWireFormat {
 ///
 /// Works for MinHash signatures directly and for bit signatures via
 /// RandomProjectionHasher::SignatureAsHashSequence. Signatures must provide
-/// at least num_trees * hashes_per_tree values.
+/// at least num_trees * hashes_per_tree values. Lookups (Query,
+/// QueryAtDepth, DepthCounts) may run concurrently: their id scratch is per
+/// thread and reset after every call.
 class LshForest {
  public:
   using ItemId = uint32_t;
@@ -164,14 +167,16 @@ class LshForest {
     }
   };
 
-  std::vector<uint64_t> TreeKey(size_t tree, const Signature& sig) const;
+  // The query's key in `tree`: hashes_per_tree values read in place from
+  // the signature (which must pass CheckSignatureSize).
+  const uint64_t* TreeKey(size_t tree, const Signature& sig) const;
   // Aborts (in all build types) if the signature is too short for TreeKey.
   void CheckSignatureSize(const Signature& sig) const;
   // Copies borrowed arrays into owned storage so the tree can be mutated.
   void DetachTree(Tree& tree);
-  // Collects ids of entries matching the first `depth` key values.
-  void CollectAtDepth(const Tree& tree, const std::vector<uint64_t>& key, size_t depth,
-                      std::vector<ItemId>* out) const;
+  // [lo, hi) of the entries matching the first `depth` key values.
+  std::pair<size_t, size_t> PrefixRange(const Tree& tree, const uint64_t* key,
+                                        size_t depth) const;
 
   LshForestOptions options_;
   std::vector<Tree> trees_;

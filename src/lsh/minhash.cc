@@ -39,17 +39,15 @@ double EstimateJaccard(const Signature& a, const Signature& b) {
 
 double EstimateJaccard(const uint64_t* a, const uint64_t* b, size_t n) {
   if (n == 0) return 0;
-  size_t match = 0;
-  size_t valid = 0;
+  // Sentinel components (both sets empty at i) are not evidence of
+  // similarity, so a signature of an empty set matches nothing: counting
+  // only equal non-sentinel components gives 0 for an all-sentinel pair.
+  // Branch-free, so the compiler vectorizes the loop.
   constexpr uint64_t kEmpty = std::numeric_limits<uint64_t>::max();
+  size_t match = 0;
   for (size_t i = 0; i < n; ++i) {
-    // Sentinel components (both sets empty at i) are not evidence of
-    // similarity; a signature of an empty set matches nothing.
-    if (a[i] == kEmpty && b[i] == kEmpty) continue;
-    ++valid;
-    if (a[i] == b[i]) ++match;
+    match += static_cast<size_t>((a[i] == b[i]) & (a[i] != kEmpty));
   }
-  if (valid == 0) return 0;
   return static_cast<double>(match) / static_cast<double>(n);
 }
 

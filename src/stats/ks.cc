@@ -5,21 +5,27 @@
 
 namespace d3l {
 
-double KsStatistic(std::vector<double> a, std::vector<double> b) {
+bool IsKsSample(std::span<const double> sample) {
+  for (size_t i = 0; i < sample.size(); ++i) {
+    if (std::isnan(sample[i])) return false;
+    if (i > 0 && sample[i] < sample[i - 1]) return false;
+  }
+  return true;
+}
+
+double KsStatistic(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) return 1.0;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
   size_t i = 0;
   size_t j = 0;
   double d = 0;
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   while (i < a.size() && j < b.size()) {
-    double x = std::min(a[i], b[j]);
+    const double x = std::min(a[i], b[j]);
     while (i < a.size() && a[i] <= x) ++i;
     while (j < b.size() && b[j] <= x) ++j;
-    double diff = std::fabs(static_cast<double>(i) / na - static_cast<double>(j) / nb);
-    d = std::max(d, diff);
+    d = std::max(d, std::fabs(static_cast<double>(i) / na -
+                              static_cast<double>(j) / nb));
   }
   return d;
 }

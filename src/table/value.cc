@@ -1,5 +1,7 @@
 #include "table/value.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace d3l {
@@ -30,7 +32,11 @@ bool IsNullCell(std::string_view cell) {
 
 std::optional<double> CellAsNumber(std::string_view cell) {
   if (IsNullCell(cell)) return std::nullopt;
-  return ParseDouble(cell);
+  std::optional<double> v = ParseDouble(cell);
+  // Every NaN spelling ("-nan", "nan(123)", "NaN(1)") is a missing value:
+  // a NaN in a numeric sample has no place in its order (stats/ks.h).
+  if (v && std::isnan(*v)) return std::nullopt;
+  return v;
 }
 
 }  // namespace d3l

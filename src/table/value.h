@@ -23,7 +23,8 @@ const char* ColumnTypeToString(ColumnType t);
 /// missing-value marker such as "-", "n/a", "null").
 bool IsNullCell(std::string_view cell);
 
-/// \brief Parses a cell as a number; respects null markers.
+/// \brief Parses a cell as a number; respects null markers, and treats a
+/// cell that parses as NaN (any spelling) as null.
 std::optional<double> CellAsNumber(std::string_view cell);
 
 }  // namespace d3l

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -370,6 +373,81 @@ TEST(ForestDepthCountsTest, BudgetedScanMatchesFullScan) {
       }
     }
   }
+}
+
+// Brute force over the stored arrays: the deepest prefix each item shares
+// with the query in any tree.
+std::map<uint32_t, size_t> BruteDeepest(const LshForest& forest, const Signature& q) {
+  const size_t kpt = forest.options().hashes_per_tree;
+  std::map<uint32_t, size_t> deepest;
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    for (size_t i = 0; i < forest.tree_size(t); ++i) {
+      const uint64_t* entry = forest.tree_keys(t) + i * kpt;
+      size_t lcp = 0;
+      while (lcp < kpt && entry[lcp] == q[t * kpt + lcp]) ++lcp;
+      if (lcp == 0) continue;
+      size_t& best = deepest[forest.tree_ids(t)[i]];
+      best = std::max(best, lcp);
+    }
+  }
+  return deepest;
+}
+
+// Checks DepthCounts (full and budgeted) and QueryAtDepth against the brute
+// force; calling twice in a row catches scratch left dirty by a lookup.
+void CheckForestAgainstBruteForce(const LshForest& forest,
+                                  const std::vector<Signature>& queries) {
+  const size_t kpt = forest.options().hashes_per_tree;
+  for (const Signature& q : queries) {
+    const std::map<uint32_t, size_t> deepest = BruteDeepest(forest, q);
+    std::vector<size_t> expected(kpt, 0);
+    for (const auto& [id, d] : deepest) {
+      for (size_t k = 1; k <= d; ++k) expected[k - 1]++;
+    }
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_EQ(forest.DepthCounts(q), expected);
+      const std::vector<size_t> budgeted = forest.DepthCounts(q, 3);
+      const size_t stop = LshForest::StopDepth(expected, 3);
+      for (size_t d = stop; d <= kpt; ++d) EXPECT_EQ(budgeted[d - 1], expected[d - 1]);
+      for (size_t d = 1; d <= kpt; ++d) {
+        std::vector<uint32_t> got = forest.QueryAtDepth(q, d);
+        std::sort(got.begin(), got.end());
+        std::vector<uint32_t> want;
+        for (const auto& [id, depth] : deepest) {
+          if (depth >= d) want.push_back(id);
+        }
+        EXPECT_EQ(got, want) << "d=" << d;
+      }
+    }
+  }
+}
+
+TEST(ForestScratchTest, LookupsMatchBruteForceWithSparseShuffledIdsAndThreads) {
+  MinHasher hasher(64, 21);
+  LshForestOptions options;
+  options.num_trees = 4;
+  options.hashes_per_tree = 6;
+  LshForest forest(options);
+  // Shuffled ids with gaps: the scratch is indexed by id, not by position.
+  std::vector<uint32_t> ids(90);
+  std::iota(ids.begin(), ids.end(), 0u);
+  Rng rng(5);
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    forest.Insert(ids[i] * 7 + 3, hasher.Sign(SetWithSharedPrefix(static_cast<int>(i % 45), 50,
+                                                                  static_cast<int>(i / 6))));
+  }
+  forest.Index();
+  std::vector<Signature> queries;
+  for (int q = 0; q < 5; ++q) queries.push_back(hasher.Sign(SetWithSharedPrefix(25 + 4 * q, 50, q)));
+
+  CheckForestAgainstBruteForce(forest, queries);
+  std::thread a([&] { CheckForestAgainstBruteForce(forest, queries); });
+  std::thread b([&] { CheckForestAgainstBruteForce(forest, queries); });
+  a.join();
+  b.join();
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "io/binary_io.h"
+
 #include "tests/test_util.h"
 
 namespace d3l::core {
@@ -150,6 +155,62 @@ TEST_F(QueryTest, SingleThreadedIndexMatchesParallel) {
   for (size_t i = 0; i < a->ranked.size(); ++i) {
     EXPECT_EQ(a->ranked[i].table_index, b->ranked[i].table_index);
     EXPECT_DOUBLE_EQ(a->ranked[i].distance, b->ranked[i].distance);
+  }
+}
+
+TEST(NumericCellTest, NanCellsAreNullsAndSearchFinishes) {
+  // Every NaN spelling std::from_chars accepts must stay out of numeric
+  // samples: a NaN there once made KS loop forever inside Search.
+  DataLake lake;
+  for (int t = 0; t < 6; ++t) {
+    std::vector<std::vector<std::string>> rows;
+    const char* nans[] = {"-nan", "nan(123)", "NaN(1)", "-NAN"};
+    for (int r = 0; r < 12; ++r) {
+      rows.push_back({"item " + std::to_string(t) + "_" + std::to_string(r),
+                      r % 3 == 0 ? nans[(r / 3) % 4] : std::to_string(r * (t + 1))});
+    }
+    ASSERT_TRUE(lake.AddTable(testutil::MakeTable("nan_" + std::to_string(t),
+                                                  {"Item", "Amount"}, rows))
+                    .ok());
+  }
+  EXPECT_EQ(lake.table(0).column(1).type(), ColumnType::kNumeric);
+  for (const char* cell : {"-nan", "nan(123)", "NaN(1)", "nan"}) {
+    EXPECT_FALSE(CellAsNumber(cell).has_value()) << cell;
+  }
+  D3LEngine engine;
+  ASSERT_TRUE(engine.IndexLake(lake).ok());
+  for (size_t t = 0; t < lake.size(); ++t) {
+    auto result = engine.Search(lake.table(t), 3);
+    ASSERT_TRUE(result.ok());
+    const AttributeProfile& amount = result->target_profiles[1];
+    EXPECT_TRUE(amount.is_numeric);
+    EXPECT_EQ(amount.numeric_sample.size(), 8u);
+  }
+}
+
+TEST(IndexesLoadTest, UnsortedOrNanSampleIsIOError) {
+  SubwordHashModel wem;
+  const Table t = testutil::FigureS1();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{3, 1, 2}, std::vector<double>{1, std::nan(""), 2}}) {
+    D3LIndexes indexes;
+    AttributeProfile p = BuildProfile(t, 4, wem, nullptr);  // Patients
+    ASSERT_TRUE(p.is_numeric);
+    p.numeric_sample = bad;
+    indexes.Insert(std::move(p));
+    indexes.Finalize();
+    std::string bytes;
+    io::Writer w;
+    w.OpenBuffer(&bytes);
+    w.BeginSection(io::SectionId("INDX"));
+    indexes.Save(w);
+    ASSERT_TRUE(w.EndSection().ok());
+    io::Reader r;
+    ASSERT_TRUE(r.OpenBuffer(std::move(bytes)).ok());
+    ASSERT_TRUE(r.OpenSection(io::SectionId("INDX")).ok());
+    auto loaded = D3LIndexes::Load(r);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
   }
 }
 

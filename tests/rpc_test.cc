@@ -348,6 +348,44 @@ TEST_F(RpcServerTest, MalformedTargetsAndStopDepthsAreErrorsNotCrashes) {
   }
 }
 
+TEST_F(RpcServerTest, UnsortedNumericSampleIsInvalidArgument) {
+  // KS merges samples as they arrive, so a target whose numeric sample is
+  // out of order must be refused before it reaches scoring.
+  auto profiled = engine_->Profile(testutil::FigureTarget());
+  ASSERT_TRUE(profiled.ok());
+  const std::array<bool, core::kNumEvidence> mask = engine_->options().enabled;
+  core::QueryTarget unsorted = *profiled;
+  unsorted.profiles[0].numeric_sample = {3, 1, 2};
+  core::CandidateStopDepths stops;
+  stops.depths.assign(profiled->sigs.size(), {});
+
+  rpc::RpcClient client("127.0.0.1", server_->port());
+  const std::vector<std::pair<uint32_t, std::string>> requests = {
+      {rpc::kMethodSearch,
+       rpc::BuildFrame(rpc::kMethodSearch,
+                       [&](io::Writer& w) {
+                         core::SaveQueryTarget(w, unsorted);
+                         w.WriteU64(5);
+                         rpc::SaveMask(w, mask);
+                       })},
+      {rpc::kMethodScoreAtStops,
+       rpc::BuildFrame(rpc::kMethodScoreAtStops,
+                       [&](io::Writer& w) {
+                         core::SaveQueryTarget(w, unsorted);
+                         rpc::SaveStopDepths(w, stops);
+                         w.WriteU64(64);
+                         rpc::SaveMask(w, mask);
+                       })},
+  };
+  for (const auto& [method, request] : requests) {
+    auto response = client.CallChecked(method, request);
+    ASSERT_FALSE(response.ok()) << io::SectionName(method);
+    EXPECT_TRUE(response.status().IsInvalidArgument())
+        << io::SectionName(method) << ": " << response.status().ToString();
+    ExpectServerStillHealthy();
+  }
+}
+
 TEST_F(RpcServerTest, StatReturnsPrometheusExposition) {
   rpc::RpcClient client("127.0.0.1", server_->port());
   const std::string request =
