@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the LSH substrate: MinHash
 // signing, Jaccard estimation, LSH Forest queries, banded lookups and
-// random-projection signing. Not a paper exhibit; used to track substrate
+// random-projection signing, plus the KS merge of evidence type D. Not a paper exhibit; used to track substrate
 // regressions.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/random.h"
 #include "lsh/lsh_banding.h"
 #include "lsh/lsh_forest.h"
 #include "lsh/minhash.h"
 #include "lsh/simhash.h"
+#include "stats/ks.h"
 
 namespace d3l {
 namespace {
@@ -56,6 +60,39 @@ void BM_ForestQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestQuery)->Arg(1000)->Arg(10000)->Arg(25000);
+
+void BM_ForestDepthCounts(benchmark::State& state) {
+  // The candidate-retrieval scan of a search: budgeted (m = 32) and full.
+  MinHasher hasher(256, 7);
+  LshForest forest;
+  for (uint32_t i = 0; i < 10000; ++i) {
+    forest.Insert(i, hasher.Sign(MakeTokens(60, i)));
+  }
+  forest.Index();
+  Signature q = hasher.Sign(MakeTokens(60, 3));
+  const size_t budget = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.DepthCounts(q, budget));
+  }
+}
+BENCHMARK(BM_ForestDepthCounts)->Arg(0)->Arg(32);
+
+void BM_KsStatistic(benchmark::State& state) {
+  // Two pre-sorted samples of the profile cap (512 values by default).
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(3);
+  std::vector<double> a(n);
+  std::vector<double> b(n);
+  for (double& x : a) x = rng.Gaussian(50, 10);
+  for (double& x : b) x = rng.Gaussian(55, 10);
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KsStatistic(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * n));
+}
+BENCHMARK(BM_KsStatistic)->Arg(64)->Arg(512);
 
 void BM_BandedQuery(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
