@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     serving::ShardingOptions options;
     options.num_shards = n_shards;
     auto report = serving::BuildShards(
-        data.lake, options, (tmp / ("s" + std::to_string(n_shards))).string());
+        data.lake, options, (tmp / std::string("s").append(std::to_string(n_shards))).string());
     report.status().CheckOK();
 
     serving::ShardedEngineOptions open_options;

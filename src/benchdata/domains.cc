@@ -389,7 +389,7 @@ std::string DomainRegistry::GenerateValue(uint32_t id, size_t variant,
   if (n == "product") {
     std::string adj = rng->Chance(0.5) ? SyllableWord(rng) : rng->Pick(kAdjectives);
     std::string base = adj + " " + rng->Pick(kNouns);
-    if (variant == 1) base += " " + std::to_string(rng->UniformInt(100, 999));
+    if (variant == 1) base.append(" ").append(std::to_string(rng->UniformInt(100, 999)));
     return base;
   }
   if (n == "school") {

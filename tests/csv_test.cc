@@ -126,9 +126,9 @@ TEST_F(CsvFileTest, MissingFileFails) {
 
 TEST_F(CsvFileTest, LoadDirectory) {
   for (int i = 0; i < 3; ++i) {
-    auto t = std::move(Table::FromRows("t" + std::to_string(i), {"a"}, {{"1"}}))
+    auto t = std::move(Table::FromRows(std::string("t").append(std::to_string(i)), {"a"}, {{"1"}}))
                  .ValueOrDie();
-    ASSERT_TRUE(WriteCsvFile(t, (dir_ / ("t" + std::to_string(i) + ".csv")).string()).ok());
+    ASSERT_TRUE(WriteCsvFile(t, (dir_ / std::string("t").append(std::to_string(i)).append(".csv")).string()).ok());
   }
   // A non-CSV file should be ignored.
   std::ofstream(dir_ / "notes.txt") << "ignore me";

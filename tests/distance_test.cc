@@ -129,10 +129,11 @@ TEST_F(DistanceTest, GuardBlocksUnrelatedNumericPairs) {
   std::vector<std::vector<std::string>> rows_a;
   std::vector<std::vector<std::string>> rows_b;
   for (int i = 0; i < 100; ++i) {
-    rows_a.push_back({"e" + std::to_string(i), std::to_string(rng.UniformInt(0, 99))});
+    rows_a.push_back({std::string("e").append(std::to_string(i)),
+                      std::to_string(rng.UniformInt(0, 99))});
     char buf[32];
     snprintf(buf, sizeof(buf), "%.4f", rng.UniformDouble(0, 1));
-    rows_b.push_back({"x" + std::to_string(i), buf});
+    rows_b.push_back({std::string("x").append(std::to_string(i)), buf});
   }
   Table a = testutil::MakeTable("a", {"Entity", "Age"}, rows_a);
   Table b = testutil::MakeTable("b", {"Thing", "Fraction"}, rows_b);
@@ -213,7 +214,7 @@ TEST_F(DistanceTest, ScorerFollowsColumnChanges) {
   for (int i = 0; i < 100; ++i) {
     char buf[32];
     snprintf(buf, sizeof(buf), "%.4f", rng.UniformDouble(0, 1));
-    rows.push_back({"x" + std::to_string(i), buf});
+    rows.push_back({std::string("x").append(std::to_string(i)), buf});
   }
   Table f = testutil::MakeTable("f", {"Thing", "Fraction"}, rows);
   AttributeProfile qa = BuildProfile(a, 1, wem_, &cache_);
@@ -342,7 +343,7 @@ DataLake RandomNumericLake(uint64_t seed, size_t n_tables) {
     for (size_t c = 0; c < n_numeric; ++c) {
       std::string name = names[rng.UniformInt(0, 5)];
       if (std::find(cols.begin(), cols.end(), name) != cols.end()) {
-        name += " " + std::to_string(c);
+        name.append(" ").append(std::to_string(c));
       }
       cols.push_back(name);
       col_formats.push_back(formats[rng.UniformInt(0, 2)]);

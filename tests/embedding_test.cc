@@ -120,7 +120,7 @@ TEST_F(SubwordModelTest, CachingEmbedderMatchesModel) {
 uint64_t DigestVectors(const SubwordHashModel& model, int num_words) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (int i = 0; i < num_words; ++i) {
-    for (float x : model.Embed("w" + std::to_string(i))) {
+    for (float x : model.Embed(std::string("w").append(std::to_string(i)))) {
       const auto bits = std::bit_cast<uint32_t>(x);
       for (int b = 0; b < 4; ++b) {
         h ^= (bits >> (8 * b)) & 0xff;

@@ -33,7 +33,7 @@ TEST_P(CsvRoundTripSweep, ArbitraryCellsSurviveRoundTrip) {
   Table t("fuzz");
   size_t cols = 1 + rng.Uniform(5);
   for (size_t c = 0; c < cols; ++c) {
-    ASSERT_TRUE(t.AddColumn("c" + std::to_string(c)).ok());
+    ASSERT_TRUE(t.AddColumn(std::string("c").append(std::to_string(c))).ok());
   }
   size_t rows = rng.Uniform(20);
   for (size_t r = 0; r < rows; ++r) {

@@ -185,7 +185,7 @@ class ShardedParityTest : public ServingTest {
     serving::ShardingOptions options;
     options.num_shards = num_shards;
     options.balance = balance;
-    const std::string base = Base("n" + std::to_string(num_shards));
+    const std::string base = Base(std::string("n").append(std::to_string(num_shards)));
     auto report = serving::BuildShards(lake, options, base);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
 

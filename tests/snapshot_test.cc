@@ -265,7 +265,7 @@ TEST_F(SnapshotTest, LshForestRoundTripPreservesQueries) {
   for (uint32_t i = 0; i < 40; ++i) {
     std::set<std::string> s;
     for (int j = 0; j < 30; ++j) {
-      s.insert("e" + std::to_string((i * 13 + j * 7) % 200));
+      s.insert(std::string("e").append(std::to_string((i * 13 + j * 7) % 200)));
     }
     sigs.push_back(hasher.Sign(s));
     forest.Insert(i, sigs.back());
